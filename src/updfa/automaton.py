@@ -1,9 +1,12 @@
 """Deterministic finite automata over digit alphabets {0, ..., base-1}.
 
-States are dense integers in [0, state_count).  The transition table is a
-flat tuple indexed by ``state * base + digit``; the value -1 marks a missing
-transition (partial automaton).  Flat arrays keep every operation here linear
-in the table size, which the million-state benchmark relies on.
+States are dense integers in [0, state_count).  The transition table is one
+flat ``array("i")`` indexed by ``state * base + digit``; the value -1 marks a
+missing transition (partial automaton).  A Dfa converts and validates its
+table once, at construction, and the table is never mutated afterwards, so
+every traversal reads the same dense 4-byte buffer.  Flat arrays keep every
+operation here linear in the table size, which the million-state benchmark
+relies on.
 
 Words are read least significant digit first, so the digit-0 successor of a
 state plays a special role throughout (appending 0 does not change the value
@@ -34,13 +37,32 @@ class Dfa:
     """A complete or partial DFA over the digit alphabet {0, ..., base-1}.
 
     Immutable; all operations in this package are pure functions on it.
+    `transitions` may be given as any sequence of ints; it is stored as an
+    ``array("i")`` (an ``array("i")`` argument is kept, not copied, so it
+    must not be mutated afterwards) and the whole automaton is validated
+    before construction returns.
     """
 
     base: int
     state_count: int
     initial: int
-    transitions: tuple[int, ...]
+    transitions: array
     finals: frozenset[int]
+
+    def __post_init__(self):
+        trans = self.transitions
+        if not (isinstance(trans, array) and trans.typecode == "i"):
+            try:
+                trans = array("i", trans)
+            except OverflowError:
+                raise BadStateId("transition target out of range") from None
+            object.__setattr__(self, "transitions", trans)
+        validate(self)
+
+    def __hash__(self) -> int:
+        # an array is unhashable, so hash its bytes in its place
+        table = self.transitions.tobytes()
+        return hash((self.base, self.state_count, self.initial, table, self.finals))
 
     @classmethod
     def from_map(
@@ -52,22 +74,14 @@ class Dfa:
         finals: Iterable[int],
     ) -> "Dfa":
         """Build a Dfa from a {(state, digit): state} mapping, validating ids."""
-        if base < 2:
-            raise BaseTooSmall(f"base {base} < 2")
-        if state_count < 1 or not 0 <= initial < state_count:
-            raise BadStateId(f"initial state {initial} out of range")
-        flat = [MISSING] * (state_count * base)
+        table = array("i", (MISSING,)) * (state_count * base)
         for (q, a), q2 in transitions.items():
             if not 0 <= a < base:
                 raise BadDigit(f"digit {a} out of range (base {base})")
             if not 0 <= q < state_count or not 0 <= q2 < state_count:
                 raise BadStateId(f"transition ({q}, {a}) -> {q2} out of range")
-            flat[q * base + a] = q2
-        finals = frozenset(finals)
-        for q in finals:
-            if not 0 <= q < state_count:
-                raise BadStateId(f"final state {q} out of range")
-        return cls(base, state_count, initial, tuple(flat), finals)
+            table[q * base + a] = q2
+        return cls(base, state_count, initial, table, frozenset(finals))
 
     def step(self, state: int, digit: int) -> int:
         """Successor of `state` by `digit`, or -1 if undefined."""
@@ -78,12 +92,28 @@ class Dfa:
         return MISSING not in self.transitions
 
     @cached_property
-    def _trans(self) -> array:
-        # compact transition copy shared by every traversal: reads touch a
-        # dense 4-byte buffer instead of chasing pointers into a tuple of
-        # heap integers, which is what keeps the linear-time claims true in
-        # wall time at a million states.  Never mutated after creation.
-        return array("i", self.transitions)
+    def is_zero_stable(self) -> bool:
+        """True iff every state and its 0-successor agree on finality."""
+        flags = self._final_bytes
+        zcol = self.transitions[0 :: self.base]
+        if self.is_complete:
+            # finality vector of the 0-successors, gathered at C speed
+            return bytes(map(flags.__getitem__, zcol)) == flags
+        return all(t == MISSING or flags[s] == flags[t] for s, t in enumerate(zcol))
+
+    @cached_property
+    def is_group(self) -> bool:
+        """True iff every digit acts as a permutation of the state set."""
+        if not self.is_complete:
+            raise PreconditionViolated("is_group_automaton requires a complete automaton")
+        n, b = self.state_count, self.base
+        for a in range(b):
+            seen = bytearray(n)
+            for t in self.transitions[a::b]:
+                if seen[t]:
+                    return False
+                seen[t] = 1
+        return True
 
     @cached_property
     def _final_bytes(self) -> bytes:
@@ -130,12 +160,11 @@ class Condensation:
 
 
 def validate(dfa: Dfa) -> None:
-    """Check all Dfa invariants; raise on the first violation."""
-    # public entry points each validate their inputs, so compositions hit
-    # this several times per automaton; a success marker keeps the repeats
-    # free (Dfa is immutable, the answer cannot change)
-    if "_valid" in dfa.__dict__:
-        return
+    """Check all Dfa invariants; raise on the first violation.
+
+    Runs once per automaton, when it is constructed; every other function
+    in the package trusts a Dfa it is given.
+    """
     if dfa.base < 2:
         raise BaseTooSmall(f"base {dfa.base} < 2")
     n = dfa.state_count
@@ -155,7 +184,6 @@ def validate(dfa: Dfa) -> None:
     for q in dfa.finals:
         if not 0 <= q < n:
             raise BadStateId(f"final state {q} out of range")
-    dfa.__dict__["_valid"] = True
 
 
 def complete(dfa: Dfa) -> Dfa:
@@ -164,13 +192,12 @@ def complete(dfa: Dfa) -> Dfa:
     A partial input gains one fresh non-final sink with all self-loops; a
     complete input is returned unchanged.
     """
-    validate(dfa)
     if dfa.is_complete:
         return dfa
     sink = dfa.state_count
     flat = [sink if t == MISSING else t for t in dfa.transitions]
     flat.extend([sink] * dfa.base)
-    return Dfa(dfa.base, sink + 1, dfa.initial, tuple(flat), dfa.finals)
+    return Dfa(dfa.base, sink + 1, dfa.initial, flat, dfa.finals)
 
 
 def accepts(dfa: Dfa, word: Sequence[int]) -> bool:
@@ -193,49 +220,12 @@ def check_zero_stability(dfa: Dfa) -> bool:
     This is what makes an automaton accept by value: all expansions of the
     same number (which differ only by trailing zeros) share one verdict.
     """
-    validate(dfa)
-    cached = dfa.__dict__.get("_zstable")
-    if cached is not None:
-        return cached
-    b = dfa.base
-    flags = dfa._final_bytes
-    if dfa.is_complete:
-        # finality vector of the 0-successors, gathered at C speed
-        result = bytes(map(flags.__getitem__, dfa._trans[0::b])) == flags
-    else:
-        result = True
-        trans = dfa.transitions
-        for s in range(dfa.state_count):
-            t = trans[s * b]
-            if t != MISSING and flags[s] != flags[t]:
-                result = False
-                break
-    dfa.__dict__["_zstable"] = result
-    return result
+    return dfa.is_zero_stable
 
 
 def is_group_automaton(dfa: Dfa) -> bool:
     """True iff every digit acts as a permutation of the state set."""
-    validate(dfa)
-    if not dfa.is_complete:
-        raise PreconditionViolated("is_group_automaton requires a complete automaton")
-    cached = dfa.__dict__.get("_group")
-    if cached is not None:
-        return cached
-    n = dfa.state_count
-    trans = dfa._trans
-    result = True
-    for a in range(dfa.base):
-        seen = bytearray(n)
-        for t in trans[a :: dfa.base]:
-            if seen[t]:
-                result = False
-                break
-            seen[t] = 1
-        if not result:
-            break
-    dfa.__dict__["_group"] = result
-    return result
+    return dfa.is_group
 
 
 def _reachable_order(dfa: Dfa) -> list[int]:
@@ -270,7 +260,7 @@ def _restrict_to_reachable(dfa: Dfa) -> Dfa:
             t = dfa.transitions[row + a]
             flat.append(MISSING if t == MISSING else new_id[t])
     finals = frozenset(new_id[q] for q in dfa.finals if q in new_id)
-    return Dfa(b, len(order), 0, tuple(flat), finals)
+    return Dfa(b, len(order), 0, flat, finals)
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -280,16 +270,15 @@ def minimize(dfa: Dfa) -> Dfa:
     The result keeps its completion sink when one is needed, has all states
     reachable, and is numbered in BFS order from the initial state.
     """
-    validate(dfa)
     dfa = _restrict_to_reachable(complete(dfa))
     n, b = dfa.state_count, dfa.base
     trans = dfa.transitions
 
     preds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(b)]
-    for s in range(n):
-        row = s * b
-        for a in range(b):
-            preds[a][trans[row + a]].append(s)
+    for a in range(b):
+        pred_a = preds[a]
+        for s, t in enumerate(trans[a::b]):
+            pred_a[t].append(s)
 
     final_set = set(dfa.finals)
     # copy: refinement mutates blocks in place, final_set must stay intact
@@ -338,32 +327,27 @@ def minimize(dfa: Dfa) -> Dfa:
                     work.append(smaller)
                     in_work.add(smaller)
 
-    # renumber blocks in BFS order from the initial block
+    # renumber blocks in BFS order from the initial block; block order[i]
+    # becomes state i, and its row is emitted as soon as it is dequeued
     start = block_of[dfa.initial]
     order = [start]
     new_of = {start: 0}
+    flat = []
+    finals = set()
     qi = 0
     while qi < len(order):
-        y = order[qi]
+        rep = next(iter(blocks[order[qi]]))
+        if rep in final_set:
+            finals.add(qi)
         qi += 1
-        rep = next(iter(blocks[y]))
         row = rep * b
         for a in range(b):
             t = block_of[trans[row + a]]
             if t not in new_of:
                 new_of[t] = len(order)
                 order.append(t)
-
-    flat = []
-    finals = set()
-    for y in order:
-        rep = next(iter(blocks[y]))
-        if rep in final_set:
-            finals.add(new_of[y])
-        row = rep * b
-        for a in range(b):
-            flat.append(new_of[block_of[trans[row + a]]])
-    return Dfa(b, len(order), 0, tuple(flat), frozenset(finals))
+            flat.append(new_of[t])
+    return Dfa(b, len(order), 0, flat, frozenset(finals))
 
 
 def isomorphic(a: Dfa, b: Dfa) -> bool:
@@ -385,8 +369,8 @@ def isomorphic(a: Dfa, b: Dfa) -> bool:
     if n != b.state_count or len(a.finals) != len(b.finals):
         return False
     base = a.base
-    ta = a._trans
-    tb = b._trans
+    ta = a.transitions
+    tb = b.transitions
     fa, fb = a._final_bytes, b._final_bytes
     if fa[a.initial] != fb[b.initial]:
         return False
@@ -437,7 +421,7 @@ def _group_condensation(dfa: Dfa) -> Condensation:
     benchmark notices.
     """
     n, b = dfa.state_count, dfa.base
-    trans = dfa._trans
+    trans = dfa.transitions
     seen = bytearray(n)
     order = array("i", (0,)) * n
     members: list[tuple[int, ...]] = []
@@ -487,11 +471,10 @@ def condensation(dfa: Dfa) -> Condensation:
     take the orbit fast path; their components have no cross edges, and
     the root-first flood numbering coincides with emission order there.
     """
-    validate(dfa)
-    if dfa.is_complete and is_group_automaton(dfa):
+    if dfa.is_complete and dfa.is_group:
         return _group_condensation(dfa)
     n, b = dfa.state_count, dfa.base
-    trans = dfa._trans
+    trans = dfa.transitions
 
     # One-array scc search (Pearce): rindex[w] is 0 while unvisited, a
     # visit index in [1, n] while active, and n + c once assigned, where
@@ -637,7 +620,7 @@ def parse_dfa(text: str) -> Dfa:
     states: int | None = None
     initial: int | None = None
     finals: list[int] | None = None
-    trans: dict[tuple[int, int], int] = {}
+    table: array | None = None
 
     def ints(parts: list[str], lineno: int) -> list[int]:
         out = []
@@ -673,6 +656,8 @@ def parse_dfa(text: str) -> Dfa:
             continue
         if base is None or states is None:
             raise FormatError("base and states must come first", lineno)
+        if table is None:
+            table = array("i", (MISSING,)) * (states * base)
         if kw == "initial":
             if initial is not None:
                 raise FormatError("duplicate initial directive", lineno)
@@ -696,9 +681,10 @@ def parse_dfa(text: str) -> Dfa:
                 raise FormatError(f"digit {a} out of range (base {base})", lineno)
             if not 0 <= q < states or not 0 <= q2 < states:
                 raise FormatError(f"state id out of range in trans {q} {a} {q2}", lineno)
-            if (q, a) in trans:
+            i = q * base + a
+            if table[i] != MISSING:
                 raise FormatError(f"duplicate transition for state {q} digit {a}", lineno)
-            trans[(q, a)] = q2
+            table[i] = q2
         else:
             raise FormatError(f"unknown directive {kw!r}", lineno)
 
@@ -706,7 +692,8 @@ def parse_dfa(text: str) -> Dfa:
         raise FormatError("missing base or states directive")
     if initial is None:
         raise FormatError("missing initial directive")
-    return Dfa.from_map(base, states, initial, trans, finals or ())
+    # an initial directive was read, so the table exists
+    return Dfa(base, states, initial, table, frozenset(finals or ()))
 
 
 def _format_arity(kw: str, want: int, lineno: int):

@@ -16,8 +16,8 @@ import sys
 import time
 from pathlib import Path
 
-from .automaton import Dfa, condensation, is_group_automaton, minimize, parse_dfa, write_dfa
-from .decision import _scc_sub_dfa, check_conditions, decide
+from .automaton import Dfa, condensation, minimize, parse_dfa, write_dfa
+from .decision import _check_atomic_scc, check_conditions, decide
 from .errors import (
     ExtractionCapExceeded,
     FormatError,
@@ -26,7 +26,7 @@ from .errors import (
     UpdfaError,
 )
 from .numeration import UpSet, build_minimal_automaton, format_upset
-from .pascal import build_pascal, format_params, is_pascal_quotient
+from .pascal import build_pascal
 
 
 def _read_text(path: str) -> str:
@@ -119,7 +119,7 @@ def cmd_gen(args) -> int:
 def cmd_info(args) -> int:
     dfa = parse_dfa(_read_text(args.path))
     comp = dfa.is_complete
-    group = is_group_automaton(dfa) if comp else False
+    group = comp and dfa.is_group
     cond = condensation(dfa)
     sccs = []
     for c in range(cond.count):
@@ -133,21 +133,17 @@ def cmd_info(args) -> int:
             "pascal_failure": None,
         }
         if cond.scc_type[c].value == "TypeOne" and comp:
-            sub = _scc_sub_dfa(dfa, members)
-            if sub is None:
-                entry["pascal_failure"] = "transitions leave the scc"
+            params, diag = _check_atomic_scc(dfa, members)
+            if params is not None:
+                entry["pascal"] = {
+                    "p": params.p,
+                    "remainders": sorted(params.remainders),
+                    "psi": params.psi,
+                    "h": params.h,
+                    "k": params.k,
+                }
             else:
-                check = is_pascal_quotient(sub)
-                if check.params is not None:
-                    entry["pascal"] = {
-                        "p": check.params.p,
-                        "remainders": sorted(check.params.remainders),
-                        "psi": check.params.psi,
-                        "h": check.params.h,
-                        "k": check.params.k,
-                    }
-                else:
-                    entry["pascal_failure"] = check.failure.value
+                entry["pascal_failure"] = diag
         sccs.append(entry)
 
     if args.json:
@@ -198,27 +194,29 @@ def bench_automaton(p: int, base: int) -> Dfa:
     for e in range(p):
         for a in range(base):
             flat.append((e - a) * inv % p)
-    return Dfa(base, p, 0, tuple(flat), frozenset({0}))
+    return Dfa(base, p, 0, flat, frozenset({0}))
 
 
 def cmd_bench(args) -> int:
-    print("p,states,transitions,nanos")
-    for p in args.sizes:
-        dfa = bench_automaton(p, args.base)
-        times = []
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for _ in range(args.repeats):
+    dfas = [bench_automaton(p, args.base) for p in args.sizes]
+    times: list[list[int]] = [[] for _ in dfas]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # round-robin over the sizes, so that a slow spell of the machine
+        # lands on samples of every size instead of on one size's median
+        for _ in range(args.repeats):
+            for dfa, samples in zip(dfas, times):
                 t0 = time.perf_counter_ns()
                 check_conditions(dfa)
-                times.append(time.perf_counter_ns() - t0)
-        finally:
-            if was_enabled:
-                gc.enable()
-        nanos = int(statistics.median(times))
+                samples.append(time.perf_counter_ns() - t0)
+    finally:
+        if was_enabled:
+            gc.enable()
+    print("p,states,transitions,nanos")
+    for p, dfa, samples in zip(args.sizes, dfas, times):
+        nanos = int(statistics.median(samples))
         print(f"{p},{dfa.state_count},{dfa.state_count * args.base},{nanos}")
-        sys.stdout.flush()
     return 0
 
 
@@ -244,13 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="cap the base-power exponent scanned during parameter extraction",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="random seed (accepted for reproducibility; current commands are deterministic)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

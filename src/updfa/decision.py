@@ -27,12 +27,9 @@ from .automaton import (
     Dfa,
     SccType,
     accepts,
-    check_zero_stability,
     condensation,
-    is_group_automaton,
     isomorphic,
     minimize,
-    validate,
 )
 from .errors import (
     ExtractionCapExceeded,
@@ -46,7 +43,7 @@ from .numeration import (
     canonicalize,
     representation,
 )
-from .pascal import PascalParams, is_pascal_quotient
+from .pascal import PascalParams, QuotientCheck, is_pascal_quotient
 
 
 @dataclass(frozen=True)
@@ -96,11 +93,7 @@ def _scc_sub_dfa(dfa: Dfa, members: tuple[int, ...]) -> Dfa | None:
         # whole automaton; re-rooting at 0 is immaterial for group automata
         if dfa.initial == 0:
             return dfa
-        # shares the validated table, so the expensive caches carry over
-        sub = Dfa(b, n, 0, dfa.transitions, dfa.finals)
-        sub.__dict__["_trans"] = dfa._trans
-        sub.__dict__["is_complete"] = dfa.is_complete
-        return sub
+        return Dfa(b, n, 0, dfa.transitions, dfa.finals)
     ordered = sorted(members)
     local = {s: i for i, s in enumerate(ordered)}
     trans = dfa.transitions
@@ -117,51 +110,45 @@ def _scc_sub_dfa(dfa: Dfa, members: tuple[int, ...]) -> Dfa | None:
 
 
 def _check_atomic_scc(
-    dfa: Dfa, members: tuple[int, ...]
+    dfa: Dfa, members: tuple[int, ...], whole: QuotientCheck | None = None
 ) -> tuple[PascalParams | None, str | None]:
-    """UP2 on one scc: closure, then the Pascal-quotient test."""
+    """UP2 on one scc: closure, then the Pascal-quotient test.  `whole`, a
+    quotient test already run on dfa itself, answers for an scc whose
+    sub-automaton is dfa."""
     sub = _scc_sub_dfa(dfa, members)
     if sub is None:
         return None, "transitions leave the scc"
-    check = is_pascal_quotient(sub)
+    check = whole if whole is not None and sub is dfa else is_pascal_quotient(sub)
     if check.params is None:
         return None, check.failure.value
     return check.params, None
 
 
-def check_conditions(dfa: Dfa) -> DecisionResult:
-    """Decide the structural conditions on a minimal complete automaton.
-
-    Check order is UP0, then condensation, then UP3, UP2, UP4, failing on
-    the first violation; everything is O(base * n).  The verdict carries no
-    set parameters; decide() adds them.
-    """
-    validate(dfa)
-    if not dfa.is_complete:
-        raise PreconditionViolated("check_conditions requires a complete automaton")
+def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, int]:
+    """UP0, the condensation, then UP3, UP2 and UP4, each run once on a
+    minimal complete automaton.  Returns the first failure, or None and the
+    coprime part of the period: the lcm of the periods of the positive-digit
+    sccs."""
     n, b = dfa.state_count, dfa.base
 
-    # UP0 is zero-stability of the whole automaton; the memoized check
-    # also serves the quotient test later, and the witness scan only runs
-    # on the failing path
-    if not check_zero_stability(dfa):
+    # UP0 is zero-stability of the whole automaton; the cached check also
+    # serves the quotient test later, and the witness scan only runs on
+    # the failing path
+    if not dfa.is_zero_stable:
         flags = dfa._final_bytes
-        succ0 = bytes(map(flags.__getitem__, dfa._trans[0::b]))
+        succ0 = bytes(map(flags.__getitem__, dfa.transitions[0::b]))
         s = next(i for i in range(n) if succ0[i] != flags[i])
-        return DecisionResult(
-            False,
-            failure=ConditionFailure(
-                "UP0", s, "state and its 0-successor differ on finality"
-            ),
-        )
+        diag = "state and its 0-successor differ on finality"
+        return ConditionFailure("UP0", s, diag), 0
 
     # a zero-stable group automaton that is outright a Pascal quotient is a
     # single scc (the quotient is forward-connected from its initial state,
     # and orbits of the letter group are forward-closed), so the generic
     # path below would find one positive-digit scc and accept it through
     # the very same quotient test; answer directly and skip the condensation
-    if is_group_automaton(dfa) and is_pascal_quotient(dfa).accepted:
-        return DecisionResult(True)
+    whole = is_pascal_quotient(dfa) if dfa.is_group else None
+    if whole is not None and whole.accepted:
+        return None, whole.params.p
 
     cond = condensation(dfa)
     types = cond.scc_type
@@ -171,43 +158,43 @@ def check_conditions(dfa: Dfa) -> DecisionResult:
             continue
         desc = cond.descendants[c]
         if len(desc) != 1:
-            return DecisionResult(
-                False,
-                failure=ConditionFailure(
-                    "UP3",
-                    c,
-                    f"0-circuit scc has {len(desc)} successor sccs, expected 1",
-                ),
-            )
+            diag = f"0-circuit scc has {len(desc)} successor sccs, expected 1"
+            return ConditionFailure("UP3", c, diag), 0
         (d,) = desc
         if types[d] is not SccType.TYPE_ONE:
-            return DecisionResult(
-                False,
-                failure=ConditionFailure(
-                    "UP3", c, "successor scc is not a positive-digit scc"
-                ),
-            )
+            diag = "successor scc is not a positive-digit scc"
+            return ConditionFailure("UP3", c, diag), 0
 
+    p_c = 1
     for c in range(cond.count):
         if types[c] is not SccType.TYPE_ONE:
             continue
-        params, diag = _check_atomic_scc(dfa, cond.scc_members[c])
+        params, diag = _check_atomic_scc(dfa, cond.scc_members[c], whole)
         if params is None:
-            return DecisionResult(False, failure=ConditionFailure("UP2", c, diag))
+            return ConditionFailure("UP2", c, diag), 0
+        p_c = math.lcm(p_c, params.p)
 
     for c in range(cond.count):
         if types[c] is not SccType.TYPE_TWO:
             continue
         (d,) = cond.descendants[c]
         if build_embedding(dfa, cond, c, d) is None:
-            return DecisionResult(
-                False,
-                failure=ConditionFailure(
-                    "UP4", c, "no embedding into the successor scc"
-                ),
-            )
+            return ConditionFailure("UP4", c, "no embedding into the successor scc"), 0
 
-    return DecisionResult(True)
+    return None, p_c
+
+
+def check_conditions(dfa: Dfa) -> DecisionResult:
+    """Decide the structural conditions on a minimal complete automaton.
+
+    Check order is UP0, then condensation, then UP3, UP2, UP4, failing on
+    the first violation; everything is O(base * n).  The verdict carries no
+    set parameters; decide() adds them.
+    """
+    if not dfa.is_complete:
+        raise PreconditionViolated("check_conditions requires a complete automaton")
+    failure, _ = _conditions(dfa)
+    return DecisionResult(failure is None, failure=failure)
 
 
 def build_embedding(
@@ -246,8 +233,8 @@ def extract_parameters(
     max_exponent: int | None = None,
     max_preperiod: int | None = None,
 ) -> UpSet:
-    """Recover the canonical (p, R, I) accepted by an automaton that passed
-    check_conditions.
+    """Recover the canonical (p, R, I) accepted by a minimal complete
+    automaton; raises PreconditionViolated if it fails check_conditions.
 
     Candidate-and-verify: the coprime part of the period is the lcm of the
     periods of the positive-digit sccs, the base-power part is searched by
@@ -255,20 +242,20 @@ def extract_parameters(
     candidate is confirmed by rebuilding its minimal automaton and testing
     isomorphism.  A returned UpSet is therefore unconditionally correct.
     """
-    validate(dfa)
     if not dfa.is_complete:
         raise PreconditionViolated("extract_parameters requires a complete automaton")
-    b = dfa.base
-    cond = condensation(dfa)
-    p_c = 1
-    for c in range(cond.count):
-        if cond.scc_type[c] is not SccType.TYPE_ONE:
-            continue
-        params, diag = _check_atomic_scc(dfa, cond.scc_members[c])
-        if params is None:
-            raise PreconditionViolated(f"scc {c} fails the atomic check: {diag}")
-        p_c = math.lcm(p_c, params.p)
+    f, p_c = _conditions(dfa)
+    if f is not None:
+        raise PreconditionViolated(f"{f.condition} fails at {f.witness}: {f.diagnostic}")
+    return _search_parameters(dfa, p_c, max_exponent, max_preperiod)
 
+
+def _search_parameters(
+    dfa: Dfa, p_c: int, max_exponent: int | None, max_preperiod: int | None
+) -> UpSet:
+    """The candidate search of extract_parameters, given the coprime part
+    p_c of the period."""
+    b = dfa.base
     e_cap = dfa.state_count if max_exponent is None else max_exponent
     for e in range(e_cap + 1):
         p = p_c * b**e
@@ -281,8 +268,6 @@ def extract_parameters(
         for i in range(length - p):
             if bits[i] != bits[i + p]:
                 m_min = i + 1
-        if m_min > m_cap:
-            continue
         candidate = canonicalize(
             CharacteristicProfile(bits[:m_min], bits[m_min : m_min + p])
         )
@@ -306,11 +291,9 @@ def decide(
     """End-to-end decision for an arbitrary (possibly partial) automaton:
     complete, minimize, check the structural conditions, and on success
     extract the canonical parameters of the accepted set."""
-    validate(dfa)
     minimal = minimize(dfa)
-    result = check_conditions(minimal)
-    if not result.ultimately_periodic:
-        return result
-    return DecisionResult(
-        True, params=extract_parameters(minimal, max_exponent, max_preperiod)
-    )
+    failure, p_c = _conditions(minimal)
+    if failure is not None:
+        return DecisionResult(False, failure=failure)
+    params = _search_parameters(minimal, p_c, max_exponent, max_preperiod)
+    return DecisionResult(True, params=params)

@@ -269,7 +269,7 @@ def build_minimal_automaton(
                 states.append(t)
             flat.append(j)
     finals = frozenset(i for i, t in enumerate(states) if t.membership(0))
-    return Dfa(base, len(states), 0, tuple(flat), finals)
+    return Dfa(base, len(states), 0, flat, finals)
 
 
 def h_p(e: int, a: int, p: int, base: int) -> int:
@@ -318,7 +318,7 @@ def build_atomic_explicit(p: int, remainders: Iterable[int], base: int) -> Dfa:
                 states.append(t)
             flat.append(j)
     finals = frozenset(i for i, t in enumerate(states) if 0 in t)
-    return Dfa(base, len(states), 0, tuple(flat), finals)
+    return Dfa(base, len(states), 0, flat, finals)
 
 
 def format_upset(s: UpSet) -> str:

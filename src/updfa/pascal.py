@@ -29,11 +29,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .automaton import (
-    Dfa,
-    check_zero_stability,
-    is_group_automaton,
-)
+from .automaton import Dfa
 from .errors import (
     NotCoprime,
     NotGroupAutomaton,
@@ -136,7 +132,7 @@ def build_pascal(p: int, remainders: Iterable[int], base: int) -> Dfa:
             for a in range(base):
                 flat.append(((s + a * powers[t]) % p) * psi + t2)
     finals = frozenset(s * psi + t for s in rem for t in range(psi))
-    return Dfa(base, p * psi, 0, tuple(flat), finals)
+    return Dfa(base, p * psi, 0, flat, finals)
 
 
 def add_g_letter(dfa: Dfa) -> Dfa:
@@ -146,7 +142,7 @@ def add_g_letter(dfa: Dfa) -> Dfa:
     is well defined because the 0-action is a permutation.  Digits 2..b-1
     are dropped; verify_simplification checks that drop loses nothing.
     """
-    if not is_group_automaton(dfa):
+    if not dfa.is_group:
         raise NotGroupAutomaton("add_g_letter requires a group automaton")
     zcol, gcol, _ = _g_columns(dfa)
     return _two_letter_dfa(dfa, zcol, gcol)
@@ -160,8 +156,8 @@ def _g_columns(dfa: Dfa) -> tuple[array, array, array]:
     over it compared to striding through the full table.
     """
     b = dfa.base
-    zcol = dfa._trans[0::b]
-    col1 = dfa._trans[1::b]
+    zcol = dfa.transitions[0::b]
+    col1 = dfa.transitions[1::b]
     pred0 = array("i", zcol)
     for s, t in enumerate(zcol):
         pred0[t] = s
@@ -174,9 +170,7 @@ def _two_letter_dfa(dfa: Dfa, zcol: array, gcol: array) -> Dfa:
     flat = zcol + zcol  # right size; both stripes overwritten below
     flat[0::2] = zcol
     flat[1::2] = gcol
-    out = Dfa(2, dfa.state_count, dfa.initial, tuple(flat), dfa.finals)
-    out.__dict__["_trans"] = flat
-    return out
+    return Dfa(2, dfa.state_count, dfa.initial, flat, dfa.finals)
 
 
 def _g_cycles(simplified: Dfa) -> tuple[list[list[int]], list[int], list[int]]:
@@ -210,8 +204,8 @@ def verify_simplification(original: Dfa, simplified: Dfa) -> bool:
     check is O(base * n).
     """
     n, b = original.state_count, original.base
-    torig = original._trans
-    tsimp = simplified._trans
+    torig = original.transitions
+    tsimp = simplified.transitions
     g0 = tsimp[0::2]
     if torig[0::b] != g0:
         return False
@@ -242,7 +236,7 @@ def analyze_quotient(simplified: Dfa, base: int) -> PascalParams:
     Trusts the preconditions (group automaton over {0, g}, zero-stable);
     raises NotPascalLike when the parameters cannot exist.
     """
-    t = simplified._trans
+    t = simplified.transitions
     params, _, _ = _analyze(
         t[0::2], t[1::2], simplified._final_bytes, simplified.initial, base, None
     )
@@ -350,9 +344,7 @@ def build_quotient(params: PascalParams, base: int) -> Dfa:
     flat[0::2] = a0
     flat[1::2] = ag
     finals = frozenset(s * k + t for s in params.remainders for t in range(k))
-    out = Dfa(2, p * k, 0, tuple(flat), finals)
-    out.__dict__["_trans"] = flat
-    return out
+    return Dfa(2, p * k, 0, flat, finals)
 
 
 def _matches_quotient(
@@ -414,9 +406,9 @@ def _matches_quotient(
 
 def is_pascal_quotient(dfa: Dfa) -> QuotientCheck:
     """Steps 0-3; O(base * n) total.  Never raises on a negative answer."""
-    if not is_group_automaton(dfa):
+    if not dfa.is_group:
         return QuotientCheck(None, QuotientFailure.NOT_GROUP)
-    if not check_zero_stability(dfa):
+    if not dfa.is_zero_stable:
         return QuotientCheck(None, QuotientFailure.NOT_ZERO_STABLE)
     zcol, gcol, pred0 = _g_columns(dfa)
     # digits 0 and 1 define g, so the relabelling recovers them exactly by

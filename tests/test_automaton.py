@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -220,18 +221,23 @@ def test_from_map_rejects_bad_ids():
 
 
 def test_validate_rejects_out_of_range_transition():
-    d = Dfa(base=2, state_count=2, initial=0, transitions=(0, 1, 1, 9), finals=frozenset())
     with pytest.raises(BadStateId):
-        validate(d)
-    d = Dfa(base=2, state_count=2, initial=0, transitions=(0, 1, 1, -3), finals=frozenset())
+        Dfa(base=2, state_count=2, initial=0, transitions=(0, 1, 1, 9), finals=frozenset())
     with pytest.raises(BadStateId):
-        validate(d)
+        Dfa(base=2, state_count=2, initial=0, transitions=(0, 1, 1, -3), finals=frozenset())
 
 
 def test_validate_rejects_bad_finals():
-    d = Dfa(base=2, state_count=2, initial=0, transitions=(0, 1, 1, 0), finals=frozenset({4}))
     with pytest.raises(BadStateId):
-        validate(d)
+        Dfa(base=2, state_count=2, initial=0, transitions=(0, 1, 1, 0), finals=frozenset({4}))
+
+
+def test_tuple_and_array_tables_build_equal_dfas():
+    from_tuple = Dfa(2, 2, 0, (0, 1, 1, MISSING), frozenset({1}))
+    from_array = Dfa(2, 2, 0, array("i", [0, 1, 1, MISSING]), frozenset({1}))
+    assert from_tuple == from_array and hash(from_tuple) == hash(from_array)
+    for d in (from_tuple, from_array):
+        assert isinstance(d.transitions, array) and d.transitions.typecode == "i"
 
 
 def test_step_and_transition_items():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import updfa.decision
 from updfa import (
     Dfa,
     SccType,
@@ -258,6 +259,40 @@ def test_extract_respects_preperiod_cap():
     assert extract_parameters(dfa) == s
     with pytest.raises(ExtractionCapExceeded):
         extract_parameters(dfa, max_preperiod=2)
+
+
+def test_extract_rejects_automata_failing_the_conditions():
+    # UP3 fails here; the candidate search must not run at all
+    with pytest.raises(PreconditionViolated, match="UP3"):
+        extract_parameters(minimize(powers_of_two_dfa()))
+    with pytest.raises(PreconditionViolated, match="UP2"):
+        extract_parameters(EVEN_ONES)
+
+
+def test_decide_computes_each_fact_once(monkeypatch):
+    calls = {"condensation": 0, "is_pascal_quotient": 0}
+
+    def counted(name):
+        fn = getattr(updfa.decision, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(updfa.decision, name, wrapper)
+
+    counted("condensation")
+    counted("is_pascal_quotient")
+    # periodic with mismatches: the condensation path, then extraction
+    res = decide(instance())
+    assert res.params.mismatches == (0, 1, 2)
+    assert calls["condensation"] <= 1
+    # group automaton rejected by the fast path: one quotient test, reused
+    # for its single scc under UP2
+    calls["is_pascal_quotient"] = 0
+    res = decide(EVEN_ONES)
+    assert res.failure.condition == "UP2"
+    assert calls["is_pascal_quotient"] == 1
 
 
 def test_decide_total_on_partial_input():
