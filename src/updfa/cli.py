@@ -2,7 +2,7 @@
 
 Subcommands: decide, gen, info, minimize, bench.  Exit codes: 0 success
 (decide: ultimately periodic), 1 decide found the set not ultimately
-periodic, 2 input or validation error, 3 extraction caps exceeded.
+periodic, 2 input or validation error.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ from pathlib import Path
 
 from .automaton import Dfa, condensation, minimize, parse_dfa, write_dfa
 from .decision import _check_atomic_scc, check_conditions, decide
-from .errors import (
-    ExtractionCapExceeded,
-    FormatError,
-    NotCanonical,
-    NotCoprime,
-    UpdfaError,
-)
+from .errors import FormatError, NotCanonical, NotCoprime, UpdfaError
 from .numeration import UpSet, build_minimal_automaton, format_upset
 from .pascal import build_pascal
 
@@ -69,7 +63,7 @@ def _require(kv: dict[str, str], key: str) -> str:
 
 def cmd_decide(args) -> int:
     dfa = parse_dfa(_read_text(args.path))
-    result = decide(dfa, args.max_exponent, args.max_preperiod)
+    result = decide(dfa)
     if args.json:
         print(json.dumps(result.to_json_dict()))
     elif result.ultimately_periodic:
@@ -133,8 +127,9 @@ def cmd_info(args) -> int:
             "pascal_failure": None,
         }
         if cond.scc_type[c].value == "TypeOne" and comp:
-            params, diag = _check_atomic_scc(dfa, members)
-            if params is not None:
+            atomic, diag = _check_atomic_scc(dfa, members)
+            if atomic is not None:
+                params = atomic.params
                 entry["pascal"] = {
                     "p": params.p,
                     "remainders": sorted(params.remainders),
@@ -229,20 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
-    parser.add_argument(
-        "--max-preperiod",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap the preperiod scanned during parameter extraction",
-    )
-    parser.add_argument(
-        "--max-exponent",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap the base-power exponent scanned during parameter extraction",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_decide = sub.add_parser("decide", help="decide ultimate periodicity of a DFA file")
@@ -279,9 +260,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ExtractionCapExceeded as e:
-        print(f"error: extraction caps exceeded: {e}", file=sys.stderr)
-        return 3
     except UpdfaError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -12,38 +12,32 @@ significant digit first) iff
   UP4  every 0-circuit scc embeds into its successor scc.
 
 Minimality itself (UP1) is trusted, not re-verified; decide() minimizes
-first so its callers need not care.  On success the accepted set is
-recovered in canonical form by candidate sampling verified through an
-isomorphism test, so a positive answer is never wrong.
+first so its callers need not care.  On success the accepted set is read
+off in canonical form from what the checks established: the quotient
+labelling of every positive-digit scc, the embedding of every 0-circuit,
+and a handful of equations per transient state (see _read_parameters).
+Nothing is sampled or rebuilt, and since every fact used is an equation
+checked on the automaton, a positive answer is never wrong.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
-from .automaton import (
-    Condensation,
-    Dfa,
-    SccType,
-    accepts,
-    condensation,
-    isomorphic,
-    minimize,
-)
-from .errors import (
-    ExtractionCapExceeded,
-    PreconditionViolated,
-    StateLimitExceeded,
-)
-from .numeration import (
-    CharacteristicProfile,
-    UpSet,
-    build_minimal_automaton,
-    canonicalize,
-    representation,
-)
+from .automaton import Condensation, Dfa, SccType, condensation, minimize
+from .errors import PreconditionViolated
+from .numeration import UpSet, _with_least_period
 from .pascal import PascalParams, QuotientCheck, is_pascal_quotient
+
+# decide calls none of these; they stay bound here because the benchmark's
+# tracer (bench/spans.py) wraps the layers of a decision by their names in
+# this module, and reads their counts as evidence that extraction samples
+# and rebuilds nothing
+from .automaton import accepts, isomorphic  # noqa: E402, F401
+from .numeration import build_minimal_automaton  # noqa: E402, F401
 
 
 @dataclass(frozen=True)
@@ -85,15 +79,40 @@ class Embedding:
     mapping: dict[int, int]
 
 
-def _scc_sub_dfa(dfa: Dfa, members: tuple[int, ...]) -> Dfa | None:
+class _Atomic(NamedTuple):
+    """A positive-digit scc that passed UP2: its quotient parameters, and
+    the quotient label of the state with global id members[i] at
+    labels[i]."""
+
+    params: PascalParams
+    labels: array
+    members: Sequence[int]
+
+
+@dataclass(frozen=True, eq=False)
+class _Verified:
+    """What _conditions computed and checked on a passing automaton, kept
+    for reading off the parameters.  `cond` is None when the whole
+    automaton is one Pascal quotient, which is then atomic[0]; `image`
+    maps every 0-circuit state to its embedding image."""
+
+    cond: Condensation | None
+    atomic: dict[int, _Atomic]
+    image: dict[int, int]
+
+
+def _scc_sub_dfa(
+    dfa: Dfa, members: tuple[int, ...]
+) -> tuple[Dfa | None, Sequence[int]]:
     """The automaton restricted to a closed scc, rooted at its lowest
-    member; None if some transition leaves the scc."""
+    member, and the global id of each of its states; None in place of
+    the automaton if some transition leaves the scc."""
     n, b = dfa.state_count, dfa.base
     if len(members) == n:
         # whole automaton; re-rooting at 0 is immaterial for group automata
         if dfa.initial == 0:
-            return dfa
-        return Dfa(b, n, 0, dfa.transitions, dfa.finals)
+            return dfa, range(n)
+        return Dfa(b, n, 0, dfa.transitions, dfa.finals), range(n)
     ordered = sorted(members)
     local = {s: i for i, s in enumerate(ordered)}
     trans = dfa.transitions
@@ -103,32 +122,31 @@ def _scc_sub_dfa(dfa: Dfa, members: tuple[int, ...]) -> Dfa | None:
         for a in range(b):
             t = local.get(trans[row + a])
             if t is None:
-                return None
+                return None, ordered
             flat.append(t)
     finals = frozenset(local[q] for q in dfa.finals if q in local)
-    return Dfa(b, len(members), 0, tuple(flat), finals)
+    return Dfa(b, len(members), 0, tuple(flat), finals), ordered
 
 
 def _check_atomic_scc(
     dfa: Dfa, members: tuple[int, ...], whole: QuotientCheck | None = None
-) -> tuple[PascalParams | None, str | None]:
+) -> tuple[_Atomic | None, str | None]:
     """UP2 on one scc: closure, then the Pascal-quotient test.  `whole`, a
     quotient test already run on dfa itself, answers for an scc whose
     sub-automaton is dfa."""
-    sub = _scc_sub_dfa(dfa, members)
+    sub, ordered = _scc_sub_dfa(dfa, members)
     if sub is None:
         return None, "transitions leave the scc"
     check = whole if whole is not None and sub is dfa else is_pascal_quotient(sub)
     if check.params is None:
         return None, check.failure.value
-    return check.params, None
+    return _Atomic(check.params, check.labels, ordered), None
 
 
-def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, int]:
+def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
     """UP0, the condensation, then UP3, UP2 and UP4, each run once on a
-    minimal complete automaton.  Returns the first failure, or None and the
-    coprime part of the period: the lcm of the periods of the positive-digit
-    sccs."""
+    minimal complete automaton.  Returns the first failure, or None and
+    the facts the checks established."""
     n, b = dfa.state_count, dfa.base
 
     # UP0 is zero-stability of the whole automaton; the cached check also
@@ -139,7 +157,7 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, int]:
         succ0 = bytes(map(flags.__getitem__, dfa.transitions[0::b]))
         s = next(i for i in range(n) if succ0[i] != flags[i])
         diag = "state and its 0-successor differ on finality"
-        return ConditionFailure("UP0", s, diag), 0
+        return ConditionFailure("UP0", s, diag), None
 
     # a zero-stable group automaton that is outright a Pascal quotient is a
     # single scc (the quotient is forward-connected from its initial state,
@@ -148,7 +166,8 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, int]:
     # the very same quotient test; answer directly and skip the condensation
     whole = is_pascal_quotient(dfa) if dfa.is_group else None
     if whole is not None and whole.accepted:
-        return None, whole.params.p
+        atomic = _Atomic(whole.params, whole.labels, range(n))
+        return None, _Verified(None, {0: atomic}, {})
 
     cond = condensation(dfa)
     types = cond.scc_type
@@ -159,29 +178,33 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, int]:
         desc = cond.descendants[c]
         if len(desc) != 1:
             diag = f"0-circuit scc has {len(desc)} successor sccs, expected 1"
-            return ConditionFailure("UP3", c, diag), 0
+            return ConditionFailure("UP3", c, diag), None
         (d,) = desc
         if types[d] is not SccType.TYPE_ONE:
             diag = "successor scc is not a positive-digit scc"
-            return ConditionFailure("UP3", c, diag), 0
+            return ConditionFailure("UP3", c, diag), None
 
-    p_c = 1
+    atomic = {}
     for c in range(cond.count):
         if types[c] is not SccType.TYPE_ONE:
             continue
-        params, diag = _check_atomic_scc(dfa, cond.scc_members[c], whole)
-        if params is None:
-            return ConditionFailure("UP2", c, diag), 0
-        p_c = math.lcm(p_c, params.p)
+        found, diag = _check_atomic_scc(dfa, cond.scc_members[c], whole)
+        if found is None:
+            return ConditionFailure("UP2", c, diag), None
+        atomic[c] = found
 
+    image: dict[int, int] = {}
     for c in range(cond.count):
         if types[c] is not SccType.TYPE_TWO:
             continue
         (d,) = cond.descendants[c]
-        if build_embedding(dfa, cond, c, d) is None:
-            return ConditionFailure("UP4", c, "no embedding into the successor scc"), 0
+        emb = build_embedding(dfa, cond, c, d)
+        if emb is None:
+            return ConditionFailure("UP4", c, "no embedding into the successor scc"), None
+        for x in cond.scc_members[c]:
+            image[x] = emb.mapping[x]
 
-    return None, p_c
+    return None, _Verified(cond, atomic, image)
 
 
 def check_conditions(dfa: Dfa) -> DecisionResult:
@@ -228,72 +251,153 @@ def build_embedding(
     return Embedding(f)
 
 
-def extract_parameters(
-    dfa: Dfa,
-    max_exponent: int | None = None,
-    max_preperiod: int | None = None,
-) -> UpSet:
-    """Recover the canonical (p, R, I) accepted by a minimal complete
-    automaton; raises PreconditionViolated if it fails check_conditions.
+def extract_parameters(dfa: Dfa) -> UpSet:
+    """Recover the canonical (p, R, I) accepted by a complete automaton;
+    raises PreconditionViolated if it fails check_conditions.
 
-    Candidate-and-verify: the coprime part of the period is the lcm of the
-    periods of the positive-digit sccs, the base-power part is searched by
-    exponent, the preperiod is read off a membership sample, and every
-    candidate is confirmed by rebuilding its minimal automaton and testing
-    isomorphism.  A returned UpSet is therefore unconditionally correct.
+    O(b*n + p + b * sum of the digit counts of I), read off the facts the
+    conditions verified; see _read_parameters.  The answer is right on a
+    non-minimal automaton that passes the conditions too.
     """
     if not dfa.is_complete:
         raise PreconditionViolated("extract_parameters requires a complete automaton")
-    f, p_c = _conditions(dfa)
+    f, verified = _conditions(dfa)
     if f is not None:
         raise PreconditionViolated(f"{f.condition} fails at {f.witness}: {f.diagnostic}")
-    return _search_parameters(dfa, p_c, max_exponent, max_preperiod)
+    return _read_parameters(dfa, verified)
 
 
-def _search_parameters(
-    dfa: Dfa, p_c: int, max_exponent: int | None, max_preperiod: int | None
-) -> UpSet:
-    """The candidate search of extract_parameters, given the coprime part
-    p_c of the period."""
+def _accepted_bits(atomic: _Atomic, label: int, base: int) -> bytes:
+    """Membership of m = 0..p-1 in the set of the quotient state with the
+    given label (s, t): m is in it iff (s + m*base^t) mod p is in R."""
+    params = atomic.params
+    p = params.p
+    s, t = divmod(label, params.k)
+    rem = bytearray(p)
+    for r in params.remainders:
+        rem[r] = 1
+    step = pow(base, t, p)
+    if step == 1:
+        return bytes(rem[s:] + rem[:s])
+    return bytes(rem[(s + m * step) % p] for m in range(p))
+
+
+def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
+    """The canonical (p, R, I) of a passing automaton, from the facts in
+    `verified` alone: no integer is sampled and nothing is rebuilt.
+
+    Write P_q for the purely periodic set that q's set agrees with from
+    some point on.  A positive-digit state z accepts a purely periodic set
+    with period coprime to b, fixed by its quotient label; a 0-circuit
+    state x accepts the set of its image f(x), up to 0.  One pass over the
+    sccs, successors first, gives every transient state q
+
+      rep(q)  the positive-digit state accepting P_q, if there is one: it
+              can only be the z with z.0 = rep(q.0), and it is z exactly
+              when z.a = rep(q.a) for every digit a >= 1 as well;
+      ex(q)   0 if rep(q) exists, else 1 + max_a ex(q.a), the exponent of
+              b in the period of P_q;
+      pz0(q)  whether 0 is in P_q: final(rep(q)), else pz0(q.0).
+
+    Then p = p_c * b^ex(initial), R is tiled from the representatives the
+    descent from the initial state reaches, and n is a mismatch iff its
+    canonical word leads to a state q with final(q) != pz0(q).  Every fact
+    used is an equation checked on the automaton, so the answer is right
+    even when the automaton is not minimal; only p may then need reducing
+    to the least period, which the last step does anyway.
+    """
     b = dfa.base
-    e_cap = dfa.state_count if max_exponent is None else max_exponent
-    for e in range(e_cap + 1):
-        p = p_c * b**e
-        m_cap = 4 * p * b**e if max_preperiod is None else max_preperiod
-        length = m_cap + p
-        bits = bytes(
-            1 if accepts(dfa, representation(i, b)) else 0 for i in range(length)
-        )
-        m_min = 0
-        for i in range(length - p):
-            if bits[i] != bits[i + p]:
-                m_min = i + 1
-        candidate = canonicalize(
-            CharacteristicProfile(bits[:m_min], bits[m_min : m_min + p])
-        )
-        try:
-            built = build_minimal_automaton(candidate, b, state_limit=dfa.state_count)
-        except StateLimitExceeded:
+    init = dfa.initial
+    cond, atomic = verified.cond, verified.atomic
+    p_c = math.lcm(*(found.params.p for found in atomic.values()))
+    if cond is None:
+        (whole,) = atomic.values()
+        return _with_least_period(_accepted_bits(whole, whole.labels[init], b), [])
+
+    n = dfa.state_count
+    trans = dfa.transitions
+    flags = dfa._final_bytes
+    image = verified.image
+    rep = array("i", (-1,)) * n
+    pred0 = array("i", (-1,)) * n
+    ex = array("i", (0,)) * n
+    pz0 = bytearray(n)
+    # deep[q]: a nonempty word ending in a positive digit leads from q to
+    # a state that disagrees with its pz0; only transient states have one
+    deep = bytearray(n)
+    label = array("i", (0,)) * n
+    for c, members in enumerate(cond.scc_members):
+        found = atomic.get(c)
+        if found is not None:
+            for z, lab in zip(found.members, found.labels):
+                rep[z] = z
+                pred0[trans[z * b]] = z
+                pz0[z] = flags[z]
+                label[z] = lab
             continue
-        if isomorphic(built, dfa):
-            return candidate
-    raise ExtractionCapExceeded(
-        f"no candidate verified with exponent <= {e_cap}"
-        + ("" if max_preperiod is None else f" and preperiod <= {max_preperiod}")
-    )
+        if cond.scc_type[c] is SccType.TYPE_TWO:
+            for x in members:
+                rep[x] = image[x]
+                pz0[x] = flags[image[x]]
+            continue
+        (q,) = members
+        row = q * b
+        succ = trans[row : row + b]
+        z = rep[succ[0]]
+        if z != -1:
+            z = pred0[z]
+        if z != -1 and all(trans[z * b + a] == rep[succ[a]] for a in range(1, b)):
+            rep[q] = z
+            pz0[q] = flags[z]
+        else:
+            ex[q] = 1 + max(map(ex.__getitem__, succ))
+            pz0[q] = pz0[succ[0]]
+        deep[q] = deep[succ[0]] or any(
+            deep[t] or flags[t] != pz0[t] for t in succ[1:]
+        )
+
+    # descend until a representative answers, and tile its residue
+    # pattern into the stride of R that the word read so far selects
+    p = p_c * b ** ex[init]
+    rem = bytearray(p)
+    stack = [(init, 1, 0)]  # state, b^length and value of the word read
+    while stack:
+        q, weight, v = stack.pop()
+        z = rep[q]
+        if z == -1:
+            row = q * b
+            for a in range(b):
+                stack.append((trans[row + a], weight * b, v + a * weight))
+            continue
+        bits = _accepted_bits(atomic[cond.scc_of[z]], label[z], b)
+        rem[v::weight] = bits * (p // weight // len(bits))
+
+    # only words that end in a positive digit (or the empty word) are
+    # canonical expansions; prune to the states a mismatch lies below
+    mismatches = []
+    if deep[init] or flags[init] != pz0[init]:
+        stack = [(init, 1, 0, True)]  # ..., whether the word is canonical
+        while stack:
+            q, weight, v, canonical = stack.pop()
+            if canonical and flags[q] != pz0[q]:
+                mismatches.append(v)
+            row = q * b
+            if deep[trans[row]]:
+                stack.append((trans[row], weight * b, v, False))
+            for a in range(1, b):
+                t = trans[row + a]
+                if deep[t] or flags[t] != pz0[t]:
+                    stack.append((t, weight * b, v + a * weight, True))
+    mismatches.sort()
+    return _with_least_period(bytes(rem), mismatches)
 
 
-def decide(
-    dfa: Dfa,
-    max_exponent: int | None = None,
-    max_preperiod: int | None = None,
-) -> DecisionResult:
+def decide(dfa: Dfa) -> DecisionResult:
     """End-to-end decision for an arbitrary (possibly partial) automaton:
     complete, minimize, check the structural conditions, and on success
-    extract the canonical parameters of the accepted set."""
+    read off the canonical parameters of the accepted set."""
     minimal = minimize(dfa)
-    failure, p_c = _conditions(minimal)
+    failure, verified = _conditions(minimal)
     if failure is not None:
         return DecisionResult(False, failure=failure)
-    params = _search_parameters(minimal, p_c, max_exponent, max_preperiod)
-    return DecisionResult(True, params=params)
+    return DecisionResult(True, params=_read_parameters(minimal, verified))

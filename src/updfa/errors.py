@@ -44,10 +44,6 @@ class NotPascalLike(UpdfaError):
         self.reason = reason
 
 
-class ExtractionCapExceeded(UpdfaError):
-    """Parameter extraction hit its exponent/preperiod caps."""
-
-
 class InsufficientData(UpdfaError):
     """A bit sample is too short for the requested period search bounds."""
 

@@ -137,7 +137,7 @@ class UpSet:
         mis = sorted(set(mismatches))
         if mis and mis[0] < 0:
             raise PreconditionViolated("mismatches must be naturals")
-        return canonicalize(_profile_of(period, bytes(bits), mis))
+        return _with_least_period(bytes(bits), mis)
 
     @property
     def preperiod(self) -> int:
@@ -178,16 +178,46 @@ def _profile_of(period: int, rem_bits: bytes, mis: list[int]) -> CharacteristicP
     return CharacteristicProfile(prefix, cycle)
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, by trial division."""
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return small + large[::-1]
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def least_period(bits: bytes) -> int:
+    """The smallest d dividing len(bits) under which bits, read
+    cyclically, is invariant under a shift by d.
+
+    The cyclic periods dividing the length are the multiples of the least
+    one, so dividing each prime out of the length for as long as the
+    quotient is still a period ends there.  Each test compares a prefix
+    of length d, at C speed: O(len(bits)) per distinct prime factor.
+    """
+    d = len(bits)
+    for q in _prime_factors(d):
+        while d % q == 0:
+            s = d // q
+            if bits[s:d] != bits[: d - s]:
+                break
+            d = s
+    return d
+
+
+def _with_least_period(rem_bits: bytes, mismatches) -> UpSet:
+    """The canonical form of (R + p*N) xor I given as a residue bit vector
+    and the sorted mismatches: the periodic part only needs its least
+    period, and I is already exactly where the set departs from it."""
+    d = least_period(rem_bits)
+    return UpSet(d, rem_bits[:d], tuple(mismatches))
 
 
 def canonicalize(profile: CharacteristicProfile) -> UpSet:
@@ -200,13 +230,8 @@ def canonicalize(profile: CharacteristicProfile) -> UpSet:
     back as far as it can go.
     """
     cycle = profile.cycle
-    p_hat = len(cycle)
     m_hat = len(profile.prefix)
-    d = next(
-        d
-        for d in _divisors(p_hat)
-        if all(cycle[(j + d) % p_hat] == cycle[j] for j in range(p_hat))
-    )
+    d = least_period(cycle)
     # the cycle starts at index m_hat of the full sequence, so residue r
     # of the tail reads cycle position (r - m_hat) mod d
     rem = bytes(cycle[(r - m_hat) % d] for r in range(d))
@@ -220,6 +245,8 @@ def delta(s: UpSet, a: int, base: int) -> UpSet:
     It distributes over the mismatch/periodic split: the periodic part has
     period p / gcd(p, base) with remainders read off by a stride scan, and
     each mismatch i survives as (i - a) / base exactly when i = a (mod base).
+    Both parts are read off directly, in O(p + |I|), without expanding the
+    preperiod.
     """
     if base < 2:
         raise BaseTooSmall(f"base {base} < 2")
@@ -229,7 +256,7 @@ def delta(s: UpSet, a: int, base: int) -> UpSet:
     p2 = p // math.gcd(p, base)
     rem2 = bytes(s.remainders[(n * base + a) % p] for n in range(p2))
     mis2 = [(i - a) // base for i in s.mismatches if i % base == a]
-    return canonicalize(_profile_of(p2, rem2, mis2))
+    return _with_least_period(rem2, mis2)
 
 
 def delta_word(s: UpSet, word: Sequence[int], base: int) -> UpSet:
@@ -296,9 +323,9 @@ def build_atomic_explicit(p: int, remainders: Iterable[int], base: int) -> Dfa:
         if not 0 <= r < p:
             raise PreconditionViolated(f"remainder {r} out of range [0, {p})")
         bits[r] = 1
-    for d in _divisors(p)[:-1]:
-        if all(bits[(r + d) % p] == bits[r] for r in range(p)):
-            raise NotCanonical(f"(p={p}, R={set(rem)}) is shift-invariant under {d}")
+    d = least_period(bytes(bits))
+    if d != p:
+        raise NotCanonical(f"(p={p}, R={set(rem)}) is shift-invariant under {d}")
 
     inv = pow(base, -1, p)
     start = frozenset(rem)

@@ -36,6 +36,7 @@ from .errors import (
     NotPascalLike,
     PreconditionViolated,
 )
+from .numeration import _prime_factors
 
 
 class QuotientFailure(enum.Enum):
@@ -83,10 +84,15 @@ class GElem(NamedTuple):
 @dataclass(frozen=True)
 class QuotientCheck:
     """Outcome of is_pascal_quotient: params on success, else the step that
-    rejected the automaton."""
+    rejected the automaton.
+
+    On success `labels[x]` is the id s*k + t of state x's image (s, t) in
+    A_{(h,k)}, so x accepts {m : (s + m*base^t) mod p in R}.
+    """
 
     params: PascalParams | None
     failure: QuotientFailure | None
+    labels: array | None = None
 
     @property
     def accepted(self) -> bool:
@@ -94,16 +100,21 @@ class QuotientCheck:
 
 
 def multiplicative_order(base: int, p: int) -> int:
-    """Smallest t >= 1 with base^t = 1 (mod p); 1 for p = 1."""
+    """Smallest t >= 1 with base^t = 1 (mod p); 1 for p = 1.
+
+    The order divides phi(p), so it is phi(p) with each prime factor q
+    divided out for as long as base^(t/q) stays 1: two trial divisions and
+    O(log^2 p) modular powers instead of a walk of up to p - 1 steps.
+    """
     if p < 1 or math.gcd(base, p) != 1:
         raise NotCoprime(f"gcd({base}, {p}) != 1")
-    if p == 1:
-        return 1
-    t = 1
-    acc = base % p
-    while acc != 1:
-        acc = acc * base % p
-        t += 1
+    phi = p
+    for q in _prime_factors(p):
+        phi = phi // q * (q - 1)
+    t = phi
+    for q in _prime_factors(phi):
+        while t % q == 0 and pow(base, t // q, p) == 1:
+            t //= q
     return t
 
 
@@ -354,8 +365,9 @@ def _matches_quotient(
     pos_on: array,
     circuit: array,
     base: int,
-) -> bool:
-    """True iff the columns describe an automaton isomorphic to A_{(h,k)}.
+) -> array | None:
+    """The isomorphism onto A_{(h,k)}, as the id of each state's image, if
+    the columns describe an automaton isomorphic to it; else None.
 
     Any isomorphism is forced: circuit position r must map to (r, 0), and
     0-successors must follow level by level below that.  Building the
@@ -376,7 +388,7 @@ def _matches_quotient(
         inv1 = pow(base, -1, p)
         lhs = array("i", map(pos_on.__getitem__, zcol))
         rhs = array("i", ((q - h) * inv1 % p for q in pos_on))
-        return lhs == rhs
+        return pos_on if lhs == rhs else None
     ids = array("i", (-1,)) * n
     for r, x in enumerate(circuit):
         ids[x] = r * k
@@ -388,20 +400,20 @@ def _matches_quotient(
             if ids[y] != -1:
                 # hit an already labelled state, so the 0-levels are not
                 # disjoint and no isomorphism can exist
-                return False
+                return None
             ids[y] = ids[x] + 1
         levels.append(nxt)
     inv_k = pow(pow(base, -1, p), k, p)
     for x in levels[-1]:
         if ids[zcol[x]] != (ids[x] // k - h) * inv_k % p * k:
-            return False
+            return None
     pw = 1
     for t, level in enumerate(levels[1:], start=1):
         pw = pw * base % p
         for x in level:
             if ids[gcol[x]] != (ids[x] // k + pw) % p * k + t:
-                return False
-    return True
+                return None
+    return ids
 
 
 def is_pascal_quotient(dfa: Dfa) -> QuotientCheck:
@@ -427,9 +439,10 @@ def is_pascal_quotient(dfa: Dfa) -> QuotientCheck:
     # adversarial p*k >> n from blowing the linear budget below
     if params.p * params.k != dfa.state_count:
         return QuotientCheck(None, QuotientFailure.NOT_ISOMORPHIC)
-    if not _matches_quotient(zcol, gcol, params, pos_on, circuit, dfa.base):
+    labels = _matches_quotient(zcol, gcol, params, pos_on, circuit, dfa.base)
+    if labels is None:
         return QuotientCheck(None, QuotientFailure.NOT_ISOMORPHIC)
-    return QuotientCheck(params, None)
+    return QuotientCheck(params, None, labels)
 
 
 def format_params(params: PascalParams) -> str:

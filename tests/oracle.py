@@ -1,4 +1,4 @@
-"""Brute-force reference implementations, for tests only.
+"""Brute-force reference implementations for the tests.
 
 Sampling here deliberately avoids the library's numeration helpers: bits
 come from an inline divmod expansion walked directly over the transition
@@ -10,9 +10,14 @@ positive answer unconditionally correct.
 
 from __future__ import annotations
 
-from .automaton import Dfa, isomorphic, minimize
-from .errors import InsufficientData, StateLimitExceeded
-from .numeration import CharacteristicProfile, UpSet, build_minimal_automaton, canonicalize
+from updfa.automaton import Dfa, isomorphic, minimize
+from updfa.errors import InsufficientData, StateLimitExceeded
+from updfa.numeration import (
+    CharacteristicProfile,
+    UpSet,
+    build_minimal_automaton,
+    canonicalize,
+)
 
 MISSING = -1
 

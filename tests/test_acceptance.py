@@ -27,9 +27,9 @@ from updfa import (
     is_pascal_quotient,
     minimize,
 )
-from updfa.oracle import brute_decide
 
 from conftest import language_table, membership_table
+from oracle import brute_decide
 from test_automaton import EVEN_ONES, powers_of_two_dfa
 
 

@@ -106,11 +106,21 @@ def test_decide_parse_error_reports_line(tmp_path, capsys):
     assert "line 4" in err
 
 
-def test_decide_extraction_cap_exit_code(tmp_path, capsys):
-    dfa = build_minimal_automaton(UpSet.from_parts(2, [0]), 2)
-    code, _, err = run(capsys, "--max-exponent", "0", "decide", write_tmp(tmp_path, dfa))
-    assert code == 3
-    assert "extraction caps exceeded" in err
+def test_decide_base_power_period(tmp_path, capsys):
+    # 2^12 * N: extraction reads the exponent off the 0-chain of transient
+    # states, so the period 4096 costs no more than a small one
+    dfa = build_minimal_automaton(UpSet.from_parts(2**12, [0]), 2)
+    code, out, _ = run(capsys, "--json", "decide", write_tmp(tmp_path, dfa))
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["period"], doc["remainders"], doc["mismatches"]) == (4096, [0], [])
+
+
+def test_decide_rejects_removed_cap_flags(tmp_path):
+    path = write_tmp(tmp_path, build_minimal_automaton(UpSet.from_parts(2, [0]), 2))
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-exponent", "0", "decide", path])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------- gen

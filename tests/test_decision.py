@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import updfa.automaton
 import updfa.decision
+import updfa.numeration
 from updfa import (
     Dfa,
     SccType,
     UpSet,
     build_embedding,
     build_minimal_automaton,
+    build_pascal,
     check_conditions,
     condensation,
     decide,
@@ -18,9 +23,10 @@ from updfa import (
     membership,
     minimize,
 )
-from updfa.errors import ExtractionCapExceeded, PreconditionViolated
-from updfa.oracle import brute_decide, characteristic_prefix
+from updfa.errors import PreconditionViolated
 
+from oracle import brute_decide, characteristic_prefix
+from test_acceptance import Budget
 from test_automaton import EVEN_ONES, powers_of_two_dfa
 
 
@@ -243,22 +249,101 @@ def test_extract_round_trip_examples():
             assert res.ultimately_periodic and res.params == s
 
 
-def test_extract_respects_exponent_cap():
-    # {0}+2N in base 2 needs one factor of the base in the period
-    dfa = build_minimal_automaton(UpSet.from_parts(2, [0]), 2)
-    assert extract_parameters(dfa) == UpSet.from_parts(2, [0])
-    with pytest.raises(ExtractionCapExceeded):
-        extract_parameters(dfa, max_exponent=0)
-    with pytest.raises(ExtractionCapExceeded):
-        decide(dfa, max_exponent=0)  # the cap error passes through decide
+def base_power_dfa(e: int, base: int) -> Dfa:
+    """The minimal automaton of base^e * N: state j < e accepts
+    base^(e-j) * N and reads 0 into state j + 1; state e accepts N; every
+    other digit before state e leads to the empty sink e + 1."""
+    sink = e + 1
+    trans = {}
+    for j in range(e):
+        trans[(j, 0)] = j + 1
+        for a in range(1, base):
+            trans[(j, a)] = sink
+    for a in range(base):
+        trans[(e, a)] = e
+        trans[(sink, a)] = sink
+    return Dfa.from_map(base, e + 2, 0, trans, range(e + 1))
 
 
-def test_extract_respects_preperiod_cap():
-    s = UpSet.from_parts(3, [1], [9])
-    dfa = build_minimal_automaton(s, 2)
-    assert extract_parameters(dfa) == s
-    with pytest.raises(ExtractionCapExceeded):
-        extract_parameters(dfa, max_preperiod=2)
+def test_extract_base_power_period_is_linear():
+    # the old candidate search sampled 4 * p * b^e integers per exponent
+    # here, and never returned on 2^20 * N
+    dfa = base_power_dfa(20, 2)
+    assert minimize(dfa).state_count == 22
+    with Budget(1):
+        res = decide(dfa)
+    assert res.params == UpSet(2**20, b"\x01" + bytes(2**20 - 1), ())
+
+
+def test_extract_large_single_mismatch():
+    # {2^40}: a 0-chain of 41 states down to the state of {0}, whose
+    # 0-self-loop embeds into the empty sink
+    s = UpSet(1, b"\x00", (2**40,))
+    with Budget(1):
+        dfa = build_minimal_automaton(s, 2)
+        res = decide(dfa)
+    assert dfa.state_count == 43
+    assert res.params == s
+
+
+def test_extract_reduces_a_non_minimal_period():
+    # P_{15,R} with R of period 5 is a Pascal automaton that is not
+    # minimal; its g-circuit has length 15, the set's least period is 5
+    dfa = build_pascal(15, [0, 3, 5, 8, 10, 13], 2)
+    assert extract_parameters(dfa) == UpSet.from_parts(5, [0, 3])
+    # composite base: 2N in base 10 reads as period 10 off the automaton
+    # before the reduction
+    two_n = build_minimal_automaton(UpSet.from_parts(2, [0]), 10)
+    assert extract_parameters(two_n) == UpSet.from_parts(2, [0])
+
+
+def zero_stable_dfa(rng: random.Random, base: int, n: int) -> Dfa:
+    """A random automaton made to pass UP0: finality is constant on the
+    classes of the undirected graph of 0-transitions."""
+    trans = [rng.randrange(n) for _ in range(n * base)]
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for q in range(n):
+        parent[find(q)] = find(trans[q * base])
+    pick: dict = {}
+    finals = frozenset(
+        q for q in range(n) if pick.setdefault(find(q), rng.random() < 0.5)
+    )
+    return Dfa(base, n, 0, trans, finals)
+
+
+def test_decide_agrees_with_brute_force_on_random_automata():
+    rng = random.Random(20261018)
+    max_m, max_p = 40, 40
+    positives = 0
+    with Budget(60):
+        for i in range(3000):
+            base = (2, 3, 10)[i % 3]
+            n = rng.randint(1, 7)
+            if i % 4:
+                dfa = zero_stable_dfa(rng, base, n)
+            else:
+                finals = frozenset(q for q in range(n) if rng.random() < 0.5)
+                trans = [rng.randrange(n) for _ in range(n * base)]
+                dfa = Dfa(base, n, 0, trans, finals)
+            verdict = decide(dfa)
+            slow = brute_decide(dfa, max_m, max_p)
+            if slow is not None:
+                assert verdict.params == slow, (i, verdict, slow)
+            elif verdict.ultimately_periodic:
+                # a positive decide verdict outside the oracle's bounds
+                params = verdict.params
+                assert params.period > max_p or params.preperiod > max_m
+            if verdict.ultimately_periodic:
+                positives += 1
+                bits = characteristic_prefix(dfa, 300)
+                assert bits == bytes(membership(verdict.params, k) for k in range(300))
+    assert positives > 1000
 
 
 def test_extract_rejects_automata_failing_the_conditions():
@@ -270,29 +355,52 @@ def test_extract_rejects_automata_failing_the_conditions():
 
 
 def test_decide_computes_each_fact_once(monkeypatch):
-    calls = {"condensation": 0, "is_pascal_quotient": 0}
+    calls = dict.fromkeys(
+        ["condensation", "is_pascal_quotient", "accepts", "isomorphic",
+         "build_minimal_automaton"],
+        0,
+    )
 
-    def counted(name):
-        fn = getattr(updfa.decision, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
-        monkeypatch.setattr(updfa.decision, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("condensation")
-    counted("is_pascal_quotient")
+    for name in calls:
+        counted(updfa.decision, name)
+    # extraction must not reach the sampling and rebuilding layers by any
+    # route, so count them where they are defined as well
+    counted(updfa.automaton, "accepts")
+    counted(updfa.automaton, "isomorphic")
+    counted(updfa.numeration, "build_minimal_automaton")
+
     # periodic with mismatches: the condensation path, then extraction
-    res = decide(instance())
+    d = instance()
+    res = decide(d)
     assert res.params.mismatches == (0, 1, 2)
     assert calls["condensation"] <= 1
+    cond = condensation(minimize(d))
+    positive = sum(t is SccType.TYPE_ONE for t in cond.scc_type)
+    assert calls["is_pascal_quotient"] == positive == 3
+    assert calls["accepts"] == calls["isomorphic"] == 0
+    assert calls["build_minimal_automaton"] == 0
     # group automaton rejected by the fast path: one quotient test, reused
     # for its single scc under UP2
     calls["is_pascal_quotient"] = 0
     res = decide(EVEN_ONES)
     assert res.failure.condition == "UP2"
     assert calls["is_pascal_quotient"] == 1
+    # group automaton accepted by the fast path: one quotient test in all
+    calls["is_pascal_quotient"] = 0
+    res = decide(build_pascal(7, [6], 2))
+    assert res.params == UpSet.from_parts(7, [6])
+    assert calls["is_pascal_quotient"] == 1
+    assert calls["accepts"] == calls["isomorphic"] == 0
+    assert calls["build_minimal_automaton"] == 0
 
 
 def test_decide_total_on_partial_input():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -209,6 +210,19 @@ def test_from_parts_mismatches_are_symmetric_difference():
     assert membership(s, 6)
     t = UpSet.from_parts(2, [0], [3])
     assert membership(t, 3)  # 3 is odd but flipped in
+
+
+def test_from_parts_keeps_a_huge_mismatch_cheap():
+    # canonicalizing never expands the preperiod, so a mismatch at 2^40
+    # costs what a small one does
+    t0 = time.perf_counter()
+    s = UpSet.from_parts(3, [1], [2**40])
+    assert time.perf_counter() - t0 < 0.1
+    assert s == UpSet(3, b"\x00\x01\x00", (2**40,))
+    assert UpSet.from_parts(6, [1, 4], [2**40]) == s
+    # the derivative strips the digit off the mismatch the same way
+    assert delta(s, 0, 2) == UpSet(3, b"\x00\x00\x01", (2**39,))
+    assert delta(s, 1, 2) == UpSet(3, b"\x01\x00\x00", ())
 
 
 def test_from_parts_validation():

@@ -13,8 +13,8 @@ from updfa import (
     membership,
 )
 from updfa.errors import InsufficientData
-from updfa.oracle import brute_decide, characteristic_prefix, find_eventual_period
 
+from oracle import brute_decide, characteristic_prefix, find_eventual_period
 from test_automaton import EVEN_ONES, powers_of_two_dfa
 
 

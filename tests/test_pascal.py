@@ -51,15 +51,19 @@ def test_multiplicative_order_goldens():
 
 
 def test_multiplicative_order_definition():
-    for p in (3, 5, 7, 9, 11, 13):
-        for base in (2, 3, 4, 5):
-            import math
+    import math
 
+    for p in range(1, 1200):
+        for base in (2, 3, 4, 5, 10):
             if math.gcd(base, p) != 1:
                 continue
             psi = multiplicative_order(base, p)
             assert pow(base, psi, p) == 1 % p
-            assert all(pow(base, t, p) != 1 for t in range(1, psi))
+            # the walk the order replaces: the first t with base^t = 1
+            acc, t = base % p, 1
+            while acc != 1 % p:
+                acc, t = acc * base % p, t + 1
+            assert psi == t, (base, p)
 
 
 def test_multiplicative_order_rejects_shared_factor():
