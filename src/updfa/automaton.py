@@ -141,8 +141,8 @@ class Condensation:
     """SCC partition of a Dfa with per-scc classification.
 
     `descendants[c]` is the set of immediate successor sccs of c in the
-    component graph.  `topological_order` lists scc ids so that every edge of
-    the component graph goes forward.  TypeTwo sccs are simple circuits
+    component graph; scc ids are reverse topological, so every edge of the
+    component graph goes to a smaller id.  TypeTwo sccs are simple circuits
     labelled only by the digit 0; TypeOne sccs contain an internal transition
     with a positive digit; Trivial sccs are singletons with no internal
     transition.
@@ -152,7 +152,6 @@ class Condensation:
     scc_members: tuple[tuple[int, ...], ...]
     scc_type: tuple[SccType, ...]
     descendants: tuple[frozenset[int], ...]
-    topological_order: tuple[int, ...]
 
     @property
     def count(self) -> int:
@@ -459,17 +458,16 @@ def _group_condensation(dfa: Dfa) -> Condensation:
         scc_members=tuple(members),
         scc_type=(SccType.TYPE_ONE,) * k,
         descendants=(frozenset(),) * k,
-        topological_order=tuple(range(k - 1, -1, -1)),
     )
 
 
 def condensation(dfa: Dfa) -> Condensation:
     """Tarjan SCC partition plus digit-type classification, O(base * n).
 
-    Sccs are numbered in emission order, which is reverse topological, so
-    `topological_order` is simply the reversed id range.  Group automata
-    take the orbit fast path; their components have no cross edges, and
-    the root-first flood numbering coincides with emission order there.
+    Sccs are numbered in emission order, which is reverse topological.
+    Group automata take the orbit fast path; their components have no
+    cross edges, and the root-first flood numbering coincides with
+    emission order there.
     """
     if dfa.is_complete and dfa.is_group:
         return _group_condensation(dfa)
@@ -604,7 +602,6 @@ def condensation(dfa: Dfa) -> Condensation:
         scc_members=tuple(scc_members),
         scc_type=tuple(types),
         descendants=tuple(frozenset(d) for d in desc),
-        topological_order=tuple(range(k - 1, -1, -1)),
     )
 
 

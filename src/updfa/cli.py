@@ -18,9 +18,15 @@ from pathlib import Path
 
 from .automaton import Dfa, condensation, minimize, parse_dfa, write_dfa
 from .decision import _check_atomic_scc, check_conditions, decide
-from .errors import FormatError, NotCanonical, NotCoprime, UpdfaError
+from .errors import (
+    FormatError,
+    NotCanonical,
+    NotCoprime,
+    PreconditionViolated,
+    UpdfaError,
+)
 from .numeration import UpSet, build_minimal_automaton, format_upset
-from .pascal import build_pascal
+from .pascal import PascalParams, build_pascal, format_params
 
 
 def _read_text(path: str) -> str:
@@ -32,6 +38,13 @@ def _read_text(path: str) -> str:
 def _fmt_list(xs) -> str:
     xs = sorted(xs)
     return ",".join(str(x) for x in xs) if xs else "-"
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"expected an integer, got {text!r}")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -85,10 +98,10 @@ def cmd_decide(args) -> int:
 
 def cmd_gen(args) -> int:
     kv = _parse_kv(args.params)
-    base = int(kv.get("base", "2"))
+    base = _parse_int(kv.get("base", "2"))
+    p = _parse_int(_require(kv, "p"))
+    rem = _parse_int_list(_require(kv, "R"))
     if args.kind == "upset":
-        p = int(_require(kv, "p"))
-        rem = _parse_int_list(_require(kv, "R"))
         mis = _parse_int_list(kv.get("I", "-"))
         s = UpSet.from_parts(p, rem, mis)
         given = (p, frozenset(rem), tuple(sorted(set(mis))))
@@ -99,8 +112,6 @@ def cmd_gen(args) -> int:
             )
         dfa = build_minimal_automaton(s, base)
     else:
-        p = int(_require(kv, "p"))
-        rem = _parse_int_list(_require(kv, "R"))
         dfa = build_pascal(p, rem, base)
     text = write_dfa(dfa)
     if args.output == "-":
@@ -116,6 +127,7 @@ def cmd_info(args) -> int:
     group = comp and dfa.is_group
     cond = condensation(dfa)
     sccs = []
+    quotients: list[PascalParams | None] = [None] * cond.count
     for c in range(cond.count):
         members = cond.scc_members[c]
         entry = {
@@ -129,7 +141,7 @@ def cmd_info(args) -> int:
         if cond.scc_type[c].value == "TypeOne" and comp:
             atomic, diag = _check_atomic_scc(dfa, members)
             if atomic is not None:
-                params = atomic.params
+                quotients[c] = params = atomic.params
                 entry["pascal"] = {
                     "p": params.p,
                     "remainders": sorted(params.remainders),
@@ -156,17 +168,13 @@ def cmd_info(args) -> int:
     print(f"states {dfa.state_count}")
     print(f"complete {'true' if comp else 'false'}")
     print(f"group {'true' if group else 'false'}")
-    for entry in sccs:
+    for entry, params in zip(sccs, quotients):
         print(
             f"scc {entry['id']} size={entry['size']} type={entry['type']}"
             f" descendants={_fmt_list(entry['descendants'])}"
         )
-        if entry["pascal"] is not None:
-            q = entry["pascal"]
-            print(
-                f"scc {entry['id']} pascal p={q['p']} R={_fmt_list(q['remainders'])}"
-                f" psi={q['psi']} h={q['h']} k={q['k']}"
-            )
+        if params is not None:
+            print(f"scc {entry['id']} pascal {format_params(params)}")
         elif entry["pascal_failure"] is not None:
             print(f"scc {entry['id']} pascal rejected ({entry['pascal_failure']})")
     return 0
@@ -193,6 +201,10 @@ def bench_automaton(p: int, base: int) -> Dfa:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise PreconditionViolated(f"--repeats must be at least 1, got {args.repeats}")
+    if any(p < 1 for p in args.sizes):
+        raise PreconditionViolated(f"sizes must be at least 1, got {min(args.sizes)}")
     dfas = [bench_automaton(p, args.base) for p in args.sizes]
     times: list[list[int]] = [[] for _ in dfas]
     was_enabled = gc.isenabled()

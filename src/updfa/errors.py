@@ -29,12 +29,8 @@ class NotCanonical(UpdfaError):
     """A (period, remainders) pair admits a smaller period."""
 
 
-class NotGroupAutomaton(UpdfaError):
-    """Some digit does not act as a permutation of the states."""
-
-
 class NotPascalLike(UpdfaError):
-    """The two-letter automaton cannot be a Pascal-automaton quotient.
+    """The automaton cannot be a Pascal-automaton quotient.
 
     `reason` is a pascal.QuotientFailure value naming the failed step.
     """
@@ -42,10 +38,6 @@ class NotPascalLike(UpdfaError):
     def __init__(self, message: str, reason=None):
         super().__init__(message)
         self.reason = reason
-
-
-class InsufficientData(UpdfaError):
-    """A bit sample is too short for the requested period search bounds."""
 
 
 class StateLimitExceeded(UpdfaError):

@@ -59,48 +59,12 @@ def representation(n: int, base: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _as_bits(seq) -> bytes:
-    """Normalize '0'/'1' strings or int/bool iterables to 0/1 bytes."""
-    if isinstance(seq, str):
-        if set(seq) - {"0", "1"}:
-            raise PreconditionViolated(f"bit string may only contain 0/1: {seq!r}")
-        return bytes(1 if c == "1" else 0 for c in seq)
-    return bytes(1 if b else 0 for b in seq)
-
-
-@dataclass(frozen=True)
-class CharacteristicProfile:
-    """A sampled characteristic sequence: explicit prefix, then a repeating
-    cycle.  Neither part needs to be minimal; canonicalize reduces both."""
-
-    prefix: bytes
-    cycle: bytes
-
-    def __post_init__(self):
-        if len(self.cycle) < 1:
-            raise PreconditionViolated("cycle must be non-empty")
-        for part in (self.prefix, self.cycle):
-            if any(b not in (0, 1) for b in part):
-                raise PreconditionViolated("profile bits must be 0 or 1")
-
-    @classmethod
-    def from_bits(cls, prefix, cycle) -> "CharacteristicProfile":
-        return cls(_as_bits(prefix), _as_bits(cycle))
-
-    def bit(self, n: int) -> int:
-        """Membership bit of n under the eventually periodic reading."""
-        m = len(self.prefix)
-        if n < m:
-            return self.prefix[n]
-        return self.cycle[(n - m) % len(self.cycle)]
-
-
 @dataclass(frozen=True)
 class UpSet:
     """Canonical ultimately periodic subset of the naturals.
 
-    Only construct through canonicalize / from_parts; direct construction
-    is for code that has already established canonicality.
+    Only construct through from_parts; direct construction is for code
+    that has already established canonicality.
     """
 
     period: int
@@ -156,9 +120,6 @@ class UpSet:
             raise PreconditionViolated(f"n must be a natural, got {n}")
         return bool(self.remainders[n % self.period]) != (n in self._mismatch_set)
 
-    def profile(self) -> CharacteristicProfile:
-        return _profile_of(self.period, self.remainders, list(self.mismatches))
-
 
 EMPTY_SET = UpSet(1, b"\x00", ())
 ALL_NATURALS = UpSet(1, b"\x01", ())
@@ -166,16 +127,6 @@ ALL_NATURALS = UpSet(1, b"\x01", ())
 
 def membership(s: UpSet, n: int) -> bool:
     return s.membership(n)
-
-
-def _profile_of(period: int, rem_bits: bytes, mis: list[int]) -> CharacteristicProfile:
-    m = mis[-1] + 1 if mis else 0
-    mis_set = set(mis)
-    prefix = bytes(
-        rem_bits[n % period] ^ (1 if n in mis_set else 0) for n in range(m)
-    )
-    cycle = bytes(rem_bits[(m + j) % period] for j in range(period))
-    return CharacteristicProfile(prefix, cycle)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -218,25 +169,6 @@ def _with_least_period(rem_bits: bytes, mismatches) -> UpSet:
     period, and I is already exactly where the set departs from it."""
     d = least_period(rem_bits)
     return UpSet(d, rem_bits[:d], tuple(mismatches))
-
-
-def canonicalize(profile: CharacteristicProfile) -> UpSet:
-    """Reduce a profile to the unique canonical (p, R, I).
-
-    The minimal eventual period divides the cycle length (eventual periods
-    are closed under gcd), so it is the smallest divisor under which the
-    cycle is shift-invariant.  Prefix positions whose bit already matches
-    the periodic prediction are not mismatches, which rolls the preperiod
-    back as far as it can go.
-    """
-    cycle = profile.cycle
-    m_hat = len(profile.prefix)
-    d = least_period(cycle)
-    # the cycle starts at index m_hat of the full sequence, so residue r
-    # of the tail reads cycle position (r - m_hat) mod d
-    rem = bytes(cycle[(r - m_hat) % d] for r in range(d))
-    mis = tuple(n for n in range(m_hat) if profile.prefix[n] != rem[n % d])
-    return UpSet(d, rem, mis)
 
 
 def delta(s: UpSet, a: int, base: int) -> UpSet:

@@ -1,4 +1,4 @@
-"""Pascal automata, their two-letter simplification, and the quotient test.
+"""Pascal automata, their two-letter quotients, and the quotient test.
 
 The Pascal automaton P_{p,R} tracks (value mod p, length mod psi) where psi
 is the multiplicative order of the base modulo p; it accepts R + p*N.  Its
@@ -10,15 +10,16 @@ is_pascal_quotient decides in O(base * n) whether a complete DFA is (up to
 isomorphism) a quotient of some Pascal automaton:
 
   Step 0  group automaton + zero-stability, else it cannot be one;
-  Step 1  relabel to the alphabet {0, g} and verify no digit information
-          was lost (s.a must equal s.g^a.0 for every state and digit);
+  Step 1  compute the g-successor of every state as a column beside the
+          0-column, and verify that no digit carries more information
+          (s.a must equal s.g^a.0 for every state and digit);
   Step 2  read off p, R from the g-circuit of the initial state and (h, k)
           from the smallest mixed circuit g^h 0^k;
   Step 3  label every state with its forced image in A_{(h,k)} and check
           that the labelling is an isomorphism.
 
-Two-letter automata are represented as ordinary Dfa values with base 2,
-digit 0 meaning 0 and digit 1 meaning g.
+build_quotient returns A_{(h,k)} as an ordinary Dfa with base 2, digit 0
+meaning 0 and digit 1 meaning g.
 """
 
 from __future__ import annotations
@@ -27,15 +28,10 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .automaton import Dfa
-from .errors import (
-    NotCoprime,
-    NotGroupAutomaton,
-    NotPascalLike,
-    PreconditionViolated,
-)
+from .errors import NotCoprime, NotPascalLike, PreconditionViolated
 from .numeration import _prime_factors
 
 
@@ -72,13 +68,6 @@ class PascalParams:
             raise PreconditionViolated(f"h {self.h} out of range [0, {self.p})")
         if not 1 <= self.k <= self.psi:
             raise PreconditionViolated(f"k {self.k} out of range [1, {self.psi}]")
-
-
-class GElem(NamedTuple):
-    """Element (s, t) of the transition group Z/pZ x| Z/psiZ."""
-
-    s: int
-    t: int
 
 
 @dataclass(frozen=True)
@@ -118,11 +107,6 @@ def multiplicative_order(base: int, p: int) -> int:
     return t
 
 
-def group_op(x: GElem, y: GElem, p: int, psi: int, base: int) -> GElem:
-    """The semidirect product law (s,t) o (h,k) = (s + h*base^t, t + k)."""
-    return GElem((x.s + y.s * pow(base, x.t, p)) % p, (x.t + y.t) % psi)
-
-
 def build_pascal(p: int, remainders: Iterable[int], base: int) -> Dfa:
     """The Pascal automaton P_{p,R}: states Z/pZ x Z/psiZ, where reading a
     digit a at (s, t) adds a*base^t to the tracked value mod p and bumps the
@@ -146,19 +130,6 @@ def build_pascal(p: int, remainders: Iterable[int], base: int) -> Dfa:
     return Dfa(base, p * psi, 0, flat, finals)
 
 
-def add_g_letter(dfa: Dfa) -> Dfa:
-    """Relabel a group automaton to the two-letter alphabet {0, g}.
-
-    g is the action of reading 1 and then unreading 0 (s.g.0 = s.1), which
-    is well defined because the 0-action is a permutation.  Digits 2..b-1
-    are dropped; verify_simplification checks that drop loses nothing.
-    """
-    if not dfa.is_group:
-        raise NotGroupAutomaton("add_g_letter requires a group automaton")
-    zcol, gcol, _ = _g_columns(dfa)
-    return _two_letter_dfa(dfa, zcol, gcol)
-
-
 def _g_columns(dfa: Dfa) -> tuple[array, array, array]:
     """The 0- and g-successor columns plus the 0-predecessor permutation.
 
@@ -176,97 +147,21 @@ def _g_columns(dfa: Dfa) -> tuple[array, array, array]:
     return zcol, gcol, pred0
 
 
-def _two_letter_dfa(dfa: Dfa, zcol: array, gcol: array) -> Dfa:
-    """Assemble the {0, g} automaton from its columns, state ids kept."""
-    flat = zcol + zcol  # right size; both stripes overwritten below
-    flat[0::2] = zcol
-    flat[1::2] = gcol
-    return Dfa(2, dfa.state_count, dfa.initial, flat, dfa.finals)
-
-
-def _g_cycles(simplified: Dfa) -> tuple[list[list[int]], list[int], list[int]]:
-    """Decompose the g-action into cycles; returns (cycles, cycle_id, pos)."""
-    n = simplified.state_count
-    trans = simplified.transitions
-    cycle_id = [-1] * n
-    pos = [0] * n
-    cycles: list[list[int]] = []
-    for s in range(n):
-        if cycle_id[s] != -1:
-            continue
-        cid = len(cycles)
-        cyc = []
-        cur = s
-        while cycle_id[cur] == -1:
-            cycle_id[cur] = cid
-            pos[cur] = len(cyc)
-            cyc.append(cur)
-            cur = trans[cur * 2 + 1]
-        cycles.append(cyc)
-    return cycles, cycle_id, pos
-
-
-def verify_simplification(original: Dfa, simplified: Dfa) -> bool:
-    """True iff reading a equals g^a then 0, for every state and digit.
-
-    Digits 0 and 1 reduce to bulk slice comparisons (g^1 is a transition of
-    the simplified automaton itself); digits 2 and up take g^a steps in
-    O(1) each via index arithmetic on the precomputed g-cycles.  The whole
-    check is O(base * n).
-    """
-    n, b = original.state_count, original.base
-    torig = original.transitions
-    tsimp = simplified.transitions
-    g0 = tsimp[0::2]
-    if torig[0::b] != g0:
-        return False
-    if torig[1::b] != array("i", map(g0.__getitem__, tsimp[1::2])):
-        return False
-    if b == 2:
-        return True
-    cycles, cycle_id, pos = _g_cycles(simplified)
-    for s in range(n):
-        cyc = cycles[cycle_id[s]]
-        base_pos = pos[s]
-        ln = len(cyc)
-        row = s * b
-        for a in range(2, b):
-            ga = cyc[(base_pos + a) % ln]
-            if torig[row + a] != tsimp[ga * 2]:
-                return False
-    return True
-
-
-def analyze_quotient(simplified: Dfa, base: int) -> PascalParams:
-    """Step 2: read the candidate parameters off a simplified automaton.
+def _analyze(
+    gcol: array, pred0: array, flags: bytes, init: int, base: int
+) -> tuple[PascalParams, array, array]:
+    """Step 2: read the candidate parameters off the g- and 0-columns.
 
     p and R come from the g-circuit through the initial state; (h, k) is
-    the smallest mixed circuit g^h 0^k through it, found by walking at most
-    psi steps backward along 0 and testing arrival on the g-circuit.
+    the smallest mixed circuit g^h 0^k through it, found by stepping at
+    most psi times backward along 0 and testing arrival on the g-circuit.
+    Also hands back the g-circuit labelling (position per state, members
+    in order) that _matches_quotient reuses.
 
-    Trusts the preconditions (group automaton over {0, g}, zero-stable);
-    raises NotPascalLike when the parameters cannot exist.
+    Trusts the preconditions (group automaton, zero-stable); raises
+    NotPascalLike when the parameters cannot exist.
     """
-    t = simplified.transitions
-    params, _, _ = _analyze(
-        t[0::2], t[1::2], simplified._final_bytes, simplified.initial, base, None
-    )
-    return params
-
-
-def _analyze(
-    zcol: array,
-    gcol: array,
-    flags: bytes,
-    init: int,
-    base: int,
-    pred0: array | None,
-) -> tuple[PascalParams, array, array]:
-    """analyze_quotient on raw columns, also handing back the g-circuit
-    labelling (position per state, members in order) that _matches_quotient
-    reuses.  A caller holding the 0-predecessor permutation can pass it to
-    replace the 0-cycle walk with direct backward steps."""
-    n = len(zcol)
+    n = len(gcol)
     pos_on = array("i", (-1,)) * n
     circuit = array("i", (init,))
     append = circuit.append
@@ -288,28 +183,12 @@ def _analyze(
     remainders = frozenset(r for r, s in enumerate(circuit) if flags[s])
     psi = multiplicative_order(base, p)
 
-    if pred0 is not None:
-        cur = init
-        for k in range(1, psi + 1):
-            cur = pred0[cur]
-            h = pos_on[cur]
-            if h != -1:
-                return PascalParams(p, remainders, psi, h, k), pos_on, circuit
-    else:
-        # backward 0-steps from the initial state live on its forward
-        # 0-cycle (the 0-action is a permutation), so one forward walk
-        # provides every pred0 iterate without a predecessor table
-        cycle0 = [init]
-        append = cycle0.append
-        cur = zcol[init]
-        while cur != init:
-            append(cur)
-            cur = zcol[cur]
-        span = len(cycle0)
-        for k in range(1, psi + 1):
-            h = pos_on[cycle0[-k % span]]
-            if h != -1:
-                return PascalParams(p, remainders, psi, h, k), pos_on, circuit
+    cur = init
+    for k in range(1, psi + 1):
+        cur = pred0[cur]
+        h = pos_on[cur]
+        if h != -1:
+            return PascalParams(p, remainders, psi, h, k), pos_on, circuit
     raise NotPascalLike(
         f"no mixed circuit g^h 0^k with k <= psi = {psi}",
         QuotientFailure.NO_MIXED_CIRCUIT,
@@ -423,15 +302,17 @@ def is_pascal_quotient(dfa: Dfa) -> QuotientCheck:
     if not dfa.is_zero_stable:
         return QuotientCheck(None, QuotientFailure.NOT_ZERO_STABLE)
     zcol, gcol, pred0 = _g_columns(dfa)
-    # digits 0 and 1 define g, so the relabelling recovers them exactly by
-    # construction; only digits 2 and up can witness a loss
-    if dfa.base > 2 and not verify_simplification(
-        dfa, _two_letter_dfa(dfa, zcol, gcol)
-    ):
-        return QuotientCheck(None, QuotientFailure.SIMPLIFICATION_LOSS)
+    # digits 0 and 1 define g, so they agree with it by construction; digit
+    # a >= 2 must equal g^a then 0, one bulk map per digit
+    trans, b = dfa.transitions, dfa.base
+    g_a = gcol
+    for a in range(2, b):
+        g_a = array("i", map(gcol.__getitem__, g_a))
+        if trans[a::b] != array("i", map(zcol.__getitem__, g_a)):
+            return QuotientCheck(None, QuotientFailure.SIMPLIFICATION_LOSS)
     try:
         params, pos_on, circuit = _analyze(
-            zcol, gcol, dfa._final_bytes, dfa.initial, dfa.base, pred0
+            gcol, pred0, dfa._final_bytes, dfa.initial, b
         )
     except NotPascalLike as e:
         return QuotientCheck(None, e.reason)
@@ -439,7 +320,7 @@ def is_pascal_quotient(dfa: Dfa) -> QuotientCheck:
     # adversarial p*k >> n from blowing the linear budget below
     if params.p * params.k != dfa.state_count:
         return QuotientCheck(None, QuotientFailure.NOT_ISOMORPHIC)
-    labels = _matches_quotient(zcol, gcol, params, pos_on, circuit, dfa.base)
+    labels = _matches_quotient(zcol, gcol, params, pos_on, circuit, b)
     if labels is None:
         return QuotientCheck(None, QuotientFailure.NOT_ISOMORPHIC)
     return QuotientCheck(params, None, labels)

@@ -11,15 +11,14 @@ positive answer unconditionally correct.
 from __future__ import annotations
 
 from updfa.automaton import Dfa, isomorphic, minimize
-from updfa.errors import InsufficientData, StateLimitExceeded
-from updfa.numeration import (
-    CharacteristicProfile,
-    UpSet,
-    build_minimal_automaton,
-    canonicalize,
-)
+from updfa.errors import StateLimitExceeded
+from updfa.numeration import UpSet, build_minimal_automaton
 
 MISSING = -1
+
+
+class InsufficientData(Exception):
+    """A bit sample is too short for the requested period search bounds."""
 
 
 def characteristic_prefix(dfa: Dfa, n_max: int) -> bytes:
@@ -81,7 +80,13 @@ def brute_decide(dfa: Dfa, max_m: int, max_p: int) -> UpSet | None:
     if found is None:
         return None
     m, p = found
-    candidate = canonicalize(CharacteristicProfile(bits[:m], bits[m : m + p]))
+    # bit n >= m repeats bits[m + (n - m) % p]; below m the mismatches are
+    # exactly the bits that disagree with that periodic reading
+    candidate = UpSet.from_parts(
+        p,
+        [r for r in range(p) if bits[m + (r - m) % p]],
+        [n for n in range(m) if bits[n] != bits[m + (n - m) % p]],
+    )
     minimal = minimize(dfa)
     try:
         built = build_minimal_automaton(

@@ -167,6 +167,23 @@ def test_gen_requires_parameters(capsys):
     assert "integer list" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("upset", "p=abc", "R=0"),
+        ("upset", "p=3", "R=0", "base=ten"),
+        ("pascal", "p=", "R=0"),
+        ("pascal", "p=3", "R=2", "base=2.5"),
+    ],
+)
+def test_gen_rejects_non_integer_parameters(capsys, argv):
+    # exit 1 means "not ultimately periodic", so bad input must exit 2
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: expected an integer")
+
+
 def test_gen_pascal_stdout(capsys):
     code, out, _ = run(capsys, "gen", "pascal", "p=3", "R=2")
     assert code == 0
@@ -271,7 +288,30 @@ def test_bench_rejects_non_coprime_size(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("5", "--repeats", "0"), "--repeats must be at least 1"),
+        (("5", "--repeats", "-2"), "--repeats must be at least 1"),
+        (("-5",), "sizes must be at least 1"),
+        (("5", "0"), "sizes must be at least 1"),
+    ],
+)
+def test_bench_rejects_bad_arguments(capsys, argv, message):
+    code, out, err = run(capsys, "bench", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 # ---------------------------------------------------------------- entry point
+
+
+def test_package_exports_resolve():
+    import updfa
+
+    for name in updfa.__all__:
+        assert getattr(updfa, name) is not None, name
 
 
 def test_module_entry_point(tmp_path):

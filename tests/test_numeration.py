@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 from updfa import (
     ALL_NATURALS,
     EMPTY_SET,
-    CharacteristicProfile,
     UpSet,
     accepts,
     build_atomic_explicit,
     build_minimal_automaton,
-    canonicalize,
     check_zero_stability,
     delta,
     delta_word,
@@ -101,80 +99,48 @@ def test_value_ignores_trailing_zeros(word, k):
     assert value(word + [0] * k, 2) == value(word, 2)
 
 
-# ---------------------------------------------------------------- profiles
+# ---------------------------------------------------------------- canonical form
 
-
-def test_profile_bit_reads_prefix_then_cycle():
-    prof = CharacteristicProfile.from_bits("01", "110")
-    assert [prof.bit(n) for n in range(9)] == [0, 1, 1, 1, 0, 1, 1, 0, 1]
-
-
-def test_profile_rejects_empty_cycle():
-    with pytest.raises(PreconditionViolated):
-        CharacteristicProfile(b"", b"")
-
-
-def test_profile_rejects_non_bits():
-    with pytest.raises(PreconditionViolated):
-        CharacteristicProfile(b"", b"\x02")
-
-
-# ---------------------------------------------------------------- canonicalize
+# (p, R, I) drawn freely: p small, R any subset of [0, p), I any small naturals
+upset_parts = st.integers(1, 12).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.sets(st.integers(0, p - 1)),
+        st.sets(st.integers(0, 40), max_size=6),
+    )
+)
 
 
 def test_canonicalize_alternating():
-    s = canonicalize(CharacteristicProfile.from_bits("", "10"))
+    s = UpSet.from_parts(4, [0, 2])
     assert s == UpSet(period=2, remainders=b"\x01\x00", mismatches=())
 
 
 def test_canonicalize_reduces_period_and_collects_mismatches():
-    s = canonicalize(CharacteristicProfile.from_bits("10001110", "1100"))
+    s = UpSet.from_parts(8, [0, 1, 4, 5], [1, 6])
     assert s.period == 4
     assert s.remainder_set == frozenset({0, 1})
     assert s.mismatches == (1, 6)
 
 
-def test_canonicalize_absorbs_prefix_into_cycle():
-    # prefix agrees with the cycle, so no mismatches survive
-    s = canonicalize(CharacteristicProfile.from_bits("10", "10"))
-    assert s == UpSet(period=2, remainders=b"\x01\x00", mismatches=())
-
-
 def test_canonicalize_constant_tail():
-    s = canonicalize(CharacteristicProfile.from_bits("0", "1111"))
+    s = UpSet.from_parts(4, range(4), [0])
     assert s == UpSet(period=1, remainders=b"\x01", mismatches=(0,))
 
 
-def test_canonicalize_is_phase_invariant():
-    # re-sampling the same set with a longer prefix must not change the result
-    base = CharacteristicProfile.from_bits("101", "0110")
-    s = canonicalize(base)
-    for extra in range(1, 9):
-        bits = [base.bit(n) for n in range(3 + extra)]
-        cyc = [base.bit(n) for n in range(3 + extra, 3 + extra + 4)]
-        shifted = CharacteristicProfile(bytes(bits), bytes(cyc))
-        assert canonicalize(shifted) == s
+@settings(max_examples=200, deadline=None)
+@given(upset_parts)
+def test_canonicalize_preserves_membership(parts):
+    p, rem, mis = parts
+    s = UpSet.from_parts(p, rem, mis)
+    for n in range(max(mis, default=0) + 1 + 3 * p):
+        assert membership(s, n) == ((n % p in rem) != (n in mis))
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(0, 1), max_size=10),
-    st.lists(st.integers(0, 1), min_size=1, max_size=8),
-)
-def test_canonicalize_preserves_membership(prefix, cycle):
-    prof = CharacteristicProfile(bytes(prefix), bytes(cycle))
-    s = canonicalize(prof)
-    for n in range(len(prefix) + 3 * len(cycle)):
-        assert membership(s, n) == bool(prof.bit(n))
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(0, 1), max_size=10),
-    st.lists(st.integers(0, 1), min_size=1, max_size=8),
-)
-def test_canonicalize_output_is_minimal(prefix, cycle):
-    s = canonicalize(CharacteristicProfile(bytes(prefix), bytes(cycle)))
+@given(upset_parts)
+def test_canonicalize_output_is_minimal(parts):
+    s = UpSet.from_parts(*parts)
     # no divisor of the period also works, and every mismatch is real
     rem = s.remainders
     p = s.period
@@ -247,10 +213,10 @@ def test_upset_shape_validation():
 
 
 def test_membership_matches_profile():
+    # the characteristic sequence: prefix 11010101, then 10100 repeated
     s = UpSet.from_parts(5, [0, 3], [1, 7])
-    prof = s.profile()
-    for n in range(40):
-        assert membership(s, n) == bool(prof.bit(n))
+    profile = [1, 1, 0, 1, 0, 1, 0, 1] + [1, 0, 1, 0, 0] * 7
+    assert [membership(s, n) for n in range(len(profile))] == profile
 
 
 def test_format_upset():

@@ -4,17 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from updfa import (
-    CharacteristicProfile,
-    Dfa,
-    UpSet,
-    build_minimal_automaton,
-    decide,
-    membership,
-)
-from updfa.errors import InsufficientData
+from updfa import Dfa, UpSet, build_minimal_automaton, decide, membership
 
-from oracle import brute_decide, characteristic_prefix, find_eventual_period
+from oracle import (
+    InsufficientData,
+    brute_decide,
+    characteristic_prefix,
+    find_eventual_period,
+)
 from test_automaton import EVEN_ONES, powers_of_two_dfa
 
 
@@ -54,8 +51,10 @@ def test_find_period_constant():
 
 
 def test_find_period_stream_golden():
-    prof = CharacteristicProfile.from_bits("10001110", "1100")
-    bits = bytes(prof.bit(n) for n in range(200))
+    # prefix 10001110, then 1100 repeated
+    s = UpSet.from_parts(4, [0, 1], [1, 6])
+    bits = bytes(membership(s, n) for n in range(200))
+    assert bits[:16] == bytes([1, 0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0, 1, 1, 0, 0])
     assert find_eventual_period(bits, 32, 32) == (7, 4)
 
 

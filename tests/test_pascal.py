@@ -1,4 +1,4 @@
-"""Pascal automata, the {0, g} simplification, and the quotient test."""
+"""Pascal automata, the g-column, and the quotient test."""
 
 from __future__ import annotations
 
@@ -9,32 +9,23 @@ import pytest
 
 from updfa import (
     Dfa,
-    GElem,
     PascalParams,
     QuotientFailure,
     accepts,
-    add_g_letter,
-    analyze_quotient,
     build_atomic_explicit,
     build_pascal,
     build_quotient,
     check_zero_stability,
     format_params,
-    group_op,
     is_group_automaton,
     is_pascal_quotient,
     isomorphic,
     minimize,
     multiplicative_order,
     value,
-    verify_simplification,
 )
-from updfa.errors import (
-    NotCoprime,
-    NotGroupAutomaton,
-    NotPascalLike,
-    PreconditionViolated,
-)
+from updfa.errors import NotCoprime, NotPascalLike, PreconditionViolated
+from updfa.pascal import _analyze, _g_columns
 
 from test_automaton import EVEN_ONES, powers_of_two_dfa
 
@@ -71,42 +62,6 @@ def test_multiplicative_order_rejects_shared_factor():
         multiplicative_order(2, 4)
     with pytest.raises(NotCoprime):
         multiplicative_order(2, 0)
-
-
-# ---------------------------------------------------------------- group law
-
-
-def test_group_axioms_mod_5_base_2():
-    p, psi, base = 5, 4, 2
-    elems = [GElem(s, t) for s in range(p) for t in range(psi)]
-    e = GElem(0, 0)
-    for x in elems:
-        assert group_op(e, x, p, psi, base) == x
-        assert group_op(x, e, p, psi, base) == x
-        assert any(
-            group_op(x, y, p, psi, base) == e and group_op(y, x, p, psi, base) == e
-            for y in elems
-        )
-    rng = random.Random(5)
-    for _ in range(200):
-        x, y, z = (rng.choice(elems) for _ in range(3))
-        left = group_op(group_op(x, y, p, psi, base), z, p, psi, base)
-        right = group_op(x, group_op(y, z, p, psi, base), p, psi, base)
-        assert left == right
-
-
-def test_group_op_matches_word_composition():
-    # (val u, |u|) o (val v, |v|) must equal (val uv, |uv|)
-    p, base = 7, 2
-    psi = multiplicative_order(base, p)
-    rng = random.Random(8)
-    for _ in range(200):
-        u = [rng.randrange(base) for _ in range(rng.randrange(8))]
-        v = [rng.randrange(base) for _ in range(rng.randrange(8))]
-        x = GElem(value(u, base) % p, len(u) % psi)
-        y = GElem(value(v, base) % p, len(v) % psi)
-        w = u + v
-        assert group_op(x, y, p, psi, base) == GElem(value(w, base) % p, len(w) % psi)
 
 
 # ---------------------------------------------------------------- build_pascal
@@ -158,11 +113,10 @@ def test_pascal_walk_realizes_group_action():
         cur = s * psi + t
         for a in word:
             cur = dfa.step(cur, a)
-        got = GElem(cur // psi, cur % psi)
-        want = group_op(
-            GElem(s, t), GElem(value(word, base) % p, len(word) % psi), p, psi, base
-        )
-        assert got == want
+        # (s, t) o (h, k) = (s + h*base^t, t + k) with (h, k) = (val w, |w|)
+        want_s = (s + value(word, base) * pow(base, t, p)) % p
+        want_t = (t + len(word)) % psi
+        assert (cur // psi, cur % psi) == (want_s, want_t)
 
 
 def test_pascal_is_group_and_zero_stable():
@@ -175,9 +129,24 @@ def test_pascal_is_group_and_zero_stable():
 # ---------------------------------------------------------------- g letter
 
 
+def high_digits_ok(dfa):
+    """Reference for the simplification check: s.a = s.g^a.0, state by state."""
+    zcol, gcol, _ = _g_columns(dfa)
+    for s in range(dfa.state_count):
+        x = s
+        for a in range(dfa.base):
+            if dfa.step(s, a) != zcol[x]:
+                return False
+            x = gcol[x]
+    return True
+
+
 def test_add_g_letter_requires_group():
-    with pytest.raises(NotGroupAutomaton):
-        add_g_letter(powers_of_two_dfa())
+    # digit 0 permutes the states but digit 1 does not, so g is not a
+    # permutation; the group test rejects before any g-column is read
+    d = Dfa.from_map(2, 2, 0, {(0, 0): 1, (1, 0): 0, (0, 1): 0, (1, 1): 0}, {0, 1})
+    assert not is_group_automaton(d)
+    assert is_pascal_quotient(d).failure == QuotientFailure.NOT_GROUP
 
 
 def test_add_g_letter_on_pascal():
@@ -185,60 +154,71 @@ def test_add_g_letter_on_pascal():
     p, base = 5, 2
     psi = multiplicative_order(base, p)
     dfa = build_pascal(p, [0, 3], base)
-    simp = add_g_letter(dfa)
-    assert simp.base == 2
-    assert simp.state_count == dfa.state_count
-    assert simp.finals == dfa.finals
+    zcol, gcol, pred0 = _g_columns(dfa)
+    assert len(gcol) == dfa.state_count
     for s in range(p):
         for t in range(psi):
             sid = s * psi + t
-            assert simp.step(sid, 0) == dfa.step(sid, 0)
-            assert simp.step(sid, 1) == ((s + pow(base, t, p)) % p) * psi + t
+            assert zcol[sid] == dfa.step(sid, 0)
+            assert pred0[zcol[sid]] == sid
+            assert gcol[sid] == ((s + pow(base, t, p)) % p) * psi + t
 
 
 def test_add_g_letter_undoes_zero():
     # s.g.0 = s.1 by definition of g
     for p, rem, base in [(5, [0, 3], 2), (7, [1, 2], 3)]:
         dfa = build_pascal(p, rem, base)
-        simp = add_g_letter(dfa)
+        _, gcol, _ = _g_columns(dfa)
         for s in range(dfa.state_count):
-            assert dfa.step(simp.step(s, 1), 0) == dfa.step(s, 1)
+            assert dfa.step(gcol[s], 0) == dfa.step(s, 1)
 
 
 def test_verify_simplification_accepts_derived_pairs():
     for p, rem, base in [(5, [0, 3], 2), (7, [6], 2), (5, [0, 3], 3), (11, [2, 5], 3)]:
         dfa = build_pascal(p, rem, base)
-        assert verify_simplification(dfa, add_g_letter(dfa))
+        assert high_digits_ok(dfa)
+        assert is_pascal_quotient(dfa).accepted
 
 
 def test_verify_simplification_detects_tampering():
+    # swapping two entries of a digit column keeps every digit a
+    # permutation, so a tampered automaton still reaches the check; the
+    # verdict must agree with the state-by-state reference
     rng = random.Random(20260814)
-    for p, base in [(5, 2), (7, 2), (5, 3), (7, 3)]:
+    for p, base in [(5, 3), (7, 3), (5, 4), (7, 5)]:
         dfa = build_pascal(p, [0, p - 2], base)
-        simp = add_g_letter(dfa)
+        n = dfa.state_count
+        caught = 0
         for _ in range(40):
-            i = rng.randrange(len(simp.transitions))
-            old = simp.transitions[i]
-            new = rng.choice([s for s in range(simp.state_count) if s != old])
-            trans = list(simp.transitions)
-            trans[i] = new
-            bad = Dfa(2, simp.state_count, simp.initial, tuple(trans), simp.finals)
-            assert not verify_simplification(dfa, bad)
+            a = rng.randrange(2, base)
+            x, y = rng.sample(range(n), 2)
+            trans = list(dfa.transitions)
+            trans[x * base + a], trans[y * base + a] = (
+                trans[y * base + a],
+                trans[x * base + a],
+            )
+            bad = Dfa(base, n, dfa.initial, trans, dfa.finals)
+            assert is_group_automaton(bad)
+            assert check_zero_stability(bad)
+            loss = is_pascal_quotient(bad).failure == QuotientFailure.SIMPLIFICATION_LOSS
+            assert loss == (not high_digits_ok(bad))
+            caught += loss
+        assert caught > 0
 
 
 def test_verify_simplification_checks_high_digits():
-    # base 3 automaton where digits 0 and 1 are consistent but 2 is not:
-    # s.2 = s + 4 while g^2 then 0 gives s + 2
-    trans = {}
-    for s in range(5):
-        trans[(s, 0)] = s
-        trans[(s, 1)] = (s + 1) % 5
-        trans[(s, 2)] = (s + 4) % 5
-    dfa = Dfa.from_map(3, 5, 0, trans, {0})
-    assert is_group_automaton(dfa)
-    simp = add_g_letter(dfa)
-    assert not verify_simplification(dfa, simp)
-    assert is_pascal_quotient(dfa).failure == QuotientFailure.SIMPLIFICATION_LOSS
+    # 0 is the identity and g adds 1, so digit a must add a; in each
+    # automaton exactly one digit a >= 2 breaks that: base 3 with s.2 = s + 4,
+    # base 5 with s.4 = s + 5
+    for base, n, bad_digit, shift in [(3, 5, 2, 4), (5, 7, 4, 5)]:
+        trans = {}
+        for s in range(n):
+            for a in range(base):
+                trans[(s, a)] = (s + (shift if a == bad_digit else a)) % n
+        dfa = Dfa.from_map(base, n, 0, trans, {0})
+        assert is_group_automaton(dfa)
+        assert not high_digits_ok(dfa)
+        assert is_pascal_quotient(dfa).failure == QuotientFailure.SIMPLIFICATION_LOSS
 
 
 # ---------------------------------------------------------------- analyze
@@ -247,35 +227,30 @@ def test_verify_simplification_checks_high_digits():
 def test_analyze_trivial_quotient_of_full_pascal():
     # the unreduced Pascal automaton is its own quotient with (h, k) = (0, psi)
     dfa = build_pascal(7, [6], 2)
-    params = analyze_quotient(add_g_letter(dfa), 2)
-    assert params == PascalParams(7, frozenset({6}), 3, 0, 3)
-    assert is_pascal_quotient(dfa) .params == params
+    assert is_pascal_quotient(dfa).params == PascalParams(7, frozenset({6}), 3, 0, 3)
 
 
 def test_analyze_rejects_non_coprime_circuit():
-    simp = add_g_letter(EVEN_ONES)
+    _, gcol, pred0 = _g_columns(EVEN_ONES)
     with pytest.raises(NotPascalLike) as exc:
-        analyze_quotient(simp, 2)
+        _analyze(gcol, pred0, EVEN_ONES._final_bytes, EVEN_ONES.initial, 2)
     assert exc.value.reason == QuotientFailure.PERIOD_NOT_COPRIME
 
 
 def test_analyze_rejects_missing_mixed_circuit():
     # g cycles 0 -> 2 -> 4 -> 0 (p = 3, psi = 2) but walking 0 backward from
-    # the initial state stays off the circuit for both usable lengths
-    d = Dfa.from_map(
-        2,
-        6,
-        0,
-        {
-            (0, 0): 3, (3, 0): 1, (1, 0): 0, (2, 0): 4, (4, 0): 5, (5, 0): 2,
-            (0, 1): 2, (2, 1): 4, (4, 1): 0, (1, 1): 3, (3, 1): 5, (5, 1): 1,
-        },
-        {0, 2, 4},
-    )
+    # the initial state stays off the circuit for both usable lengths; the
+    # finals are whole 0-cycles, so the automaton is zero-stable
+    zero = {0: 3, 3: 1, 1: 0, 2: 4, 4: 5, 5: 2}
+    g = {0: 2, 2: 4, 4: 0, 1: 3, 3: 5, 5: 1}
+    trans = {}
+    for s in range(6):
+        trans[(s, 0)] = zero[s]
+        trans[(s, 1)] = zero[g[s]]
+    d = Dfa.from_map(2, 6, 0, trans, {0, 1, 3})
     assert is_group_automaton(d)
-    with pytest.raises(NotPascalLike) as exc:
-        analyze_quotient(d, 2)
-    assert exc.value.reason == QuotientFailure.NO_MIXED_CIRCUIT
+    assert check_zero_stability(d)
+    assert is_pascal_quotient(d).failure == QuotientFailure.NO_MIXED_CIRCUIT
 
 
 # ---------------------------------------------------------------- quotient
@@ -298,9 +273,11 @@ def test_quotient_with_full_k_is_simplified_pascal():
     for p, rem, base in [(3, [2], 2), (5, [0, 3], 2), (7, [6], 2), (5, [1], 3)]:
         psi = multiplicative_order(base, p)
         trivial = PascalParams(p, frozenset(rem), psi, 0, psi)
-        assert isomorphic(
-            build_quotient(trivial, base), add_g_letter(build_pascal(p, rem, base))
-        )
+        pascal = build_pascal(p, rem, base)
+        zcol, gcol, _ = _g_columns(pascal)
+        flat = [x for pair in zip(zcol, gcol) for x in pair]
+        simplified = Dfa(2, pascal.state_count, pascal.initial, flat, pascal.finals)
+        assert isomorphic(build_quotient(trivial, base), simplified)
 
 
 def test_quotient_params_validation():
