@@ -6,7 +6,8 @@ missing transition (partial automaton).  A Dfa converts and validates its
 table once, at construction, and the table is never mutated afterwards, so
 every traversal reads the same dense 4-byte buffer.  Flat arrays keep every
 operation here linear in the table size, which the million-state benchmark
-relies on.
+relies on, except `minimize`: partition refinement costs O(bn log n), the
+bound of the whole decision.
 
 Words are read least significant digit first, so the digit-0 successor of a
 state plays a special role throughout (appending 0 does not change the value
@@ -17,8 +18,10 @@ from __future__ import annotations
 
 import enum
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, compress, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -227,126 +230,139 @@ def is_group_automaton(dfa: Dfa) -> bool:
     return dfa.is_group
 
 
-def _reachable_order(dfa: Dfa) -> list[int]:
-    """States reachable from the initial one, in BFS order (digit order)."""
-    b = dfa.base
-    trans = dfa.transitions
-    seen = bytearray(dfa.state_count)
-    seen[dfa.initial] = 1
-    order = [dfa.initial]
-    qi = 0
-    while qi < len(order):
-        row = order[qi] * b
-        qi += 1
-        for a in range(b):
-            t = trans[row + a]
-            if t != MISSING and not seen[t]:
-                seen[t] = 1
-                order.append(t)
-    return order
-
-
-def _restrict_to_reachable(dfa: Dfa) -> Dfa:
-    order = _reachable_order(dfa)
-    if len(order) == dfa.state_count:
-        return dfa
-    new_id = {s: i for i, s in enumerate(order)}
-    b = dfa.base
-    flat = []
-    for s in order:
-        row = s * b
-        for a in range(b):
-            t = dfa.transitions[row + a]
-            flat.append(MISSING if t == MISSING else new_id[t])
-    finals = frozenset(new_id[q] for q in dfa.finals if q in new_id)
-    return Dfa(b, len(order), 0, flat, finals)
-
-
 def minimize(dfa: Dfa) -> Dfa:
     """The minimal complete DFA of the language of complete(dfa).
 
-    Hopcroft partition refinement with smaller-half scheduling, O(bn log n).
-    The result keeps its completion sink when one is needed, has all states
-    reachable, and is numbered in BFS order from the initial state.
+    Partition refinement in O(bn log n): bulk Moore rounds while they pay,
+    then a Hopcroft tail (see `_moore`).  The result keeps its completion
+    sink when one is needed, has all states reachable, and is numbered in
+    BFS order from the initial state.
     """
-    dfa = _restrict_to_reachable(complete(dfa))
+    dfa = complete(dfa)
     n, b = dfa.state_count, dfa.base
     trans = dfa.transitions
+    cls = _moore([trans[a::b] for a in range(b)], dfa._final_bytes)
+    # BFS from the initial block, reading each block through the first of
+    # its states the search meets; unreachable blocks are never emitted
+    new_of = [MISSING] * n
+    new_of[cls[dfa.initial]] = 0
+    reps = [dfa.initial]
+    flat = []
+    for s in reps:
+        for t in trans[s * b : s * b + b]:
+            blk = cls[t]
+            i = new_of[blk]
+            if i == MISSING:
+                i = new_of[blk] = len(reps)
+                reps.append(t)
+            flat.append(i)
+    finals = compress(range(len(reps)), map(dfa._final_bytes.__getitem__, reps))
+    return Dfa(b, len(reps), 0, flat, frozenset(finals))
 
-    preds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(b)]
-    for a in range(b):
-        pred_a = preds[a]
-        for s, t in enumerate(trans[a::b]):
-            pred_a[t].append(s)
 
-    final_set = set(dfa.finals)
-    # copy: refinement mutates blocks in place, final_set must stay intact
-    blocks: list[set[int]] = []
-    for group in (set(final_set), set(range(n)) - final_set):
-        if group:
-            blocks.append(group)
-    block_of = [0] * n
-    for i, blk in enumerate(blocks):
-        for s in blk:
-            block_of[s] = i
+def _blocks(sig: Sequence) -> tuple[list[int], int]:
+    """Dense block ids by first occurrence of each signature, and their count."""
+    ids = dict(zip(dict.fromkeys(sig), range(len(sig))))
+    return list(map(ids.__getitem__, sig)), len(ids)
 
-    work: list[int] = []
-    in_work: set[int] = set()
-    if len(blocks) == 2:
-        seed = 0 if len(blocks[0]) <= len(blocks[1]) else 1
-        work.append(seed)
-        in_work.add(seed)
+
+def _moore(cols: list[array], flags: bytes) -> list[int]:
+    """Block of each state in the coarsest partition that is finer than
+    `flags` and stable under every column.
+
+    A Moore round refines the blocks by the blocks of the successors: one
+    signature tuple per state, built and numbered at C speed, so a round
+    costs O(bn) however few blocks it splits.  A round is productive if it
+    doubles the block count or adds n/16 blocks or more.  After the third
+    unproductive round the Hopcroft tail finishes, so there are at most
+    log2 n + 19 rounds, and chains, where Moore alone needs n rounds, stay
+    within O(bn log n).
+    """
+    n = len(flags)
+    cls, k = _blocks(flags)
+    idle = 0
+    while k < n:  # singletons are stable
+        nxt, k2 = _blocks(list(zip(cls, *[map(cls.__getitem__, col) for col in cols])))
+        if k2 == k:
+            break
+        if k2 < 2 * k and (k2 - k) * 16 < n:
+            idle += 1
+        prev, cls, k = cls, nxt, k2
+        if idle == 3:
+            return _hopcroft(cols, cls, prev)
+    return cls
+
+
+def _hopcroft(cols: list[array], cls: list[int], prev: list[int]) -> list[int]:
+    """Refine `cls` (dense block ids) in place to the Moore fixpoint.
+
+    `cls` must refine `prev` and be stable with respect to every block of
+    `prev`, as Moore round r is with `prev` from round r-1 (and the
+    finality split with `prev` one block), so the worklist starts with
+    every part of each block of `prev` but its largest.  Blocks are ranges
+    [first, end) of one element array with a position index; a marked
+    predecessor is swapped to the front of its block, below `mid`, so both
+    halves of a split stay contiguous.  The new block is always the smaller
+    half and always joins the worklist (if its parent was queued both must
+    be, otherwise the smaller suffices), which is the O(bn log n) bound.
+    Predecessors per digit are CSR arrays: states sorted by target, plus
+    offsets.
+    """
+    n = len(cls)
+    elems = sorted(range(n), key=cls.__getitem__)
+    loc = [0] * n
+    for i, s in enumerate(elems):
+        loc[s] = i
+    size = Counter(cls)
+    first = list(accumulate(map(size.__getitem__, range(len(size) - 1)), initial=0))
+    end = first[1:] + [n]
+    mid = first[:]
+    parent = list(map(prev.__getitem__, map(elems.__getitem__, first)))
+    order = sorted(range(len(first)), key=lambda blk: (parent[blk], size[blk]))
+    work = [x for x, y in zip(order, order[1:]) if parent[x] == parent[y]]
+
+    preds = []
+    for col in cols:
+        into = Counter(col)
+        offsets = array("i", accumulate(map(into.get, range(n), repeat(0)), initial=0))
+        preds.append((array("i", sorted(range(n), key=col.__getitem__)), offsets, offsets[1:]))
 
     while work:
         w = work.pop()
-        in_work.discard(w)
-        splitter = tuple(blocks[w])
-        for a in range(b):
-            hits: dict[int, list[int]] = {}
-            pred_a = preds[a]
+        splitter = elems[first[w] : end[w]]
+        for by_target, start, stop in preds:
+            touched = []
             for q in splitter:
-                for s in pred_a[q]:
-                    hits.setdefault(block_of[s], []).append(s)
-            for y, overlap in hits.items():
-                y_set = blocks[y]
-                if len(overlap) == len(y_set):
+                # a state has one successor per digit, so it is marked once
+                for s in by_target[start[q] : stop[q]]:
+                    blk = cls[s]
+                    m = mid[blk]
+                    if m == first[blk]:
+                        touched.append(blk)
+                    p = loc[s]
+                    t = elems[m]
+                    elems[p] = t
+                    loc[t] = p
+                    elems[m] = s
+                    loc[s] = m
+                    mid[blk] = m + 1
+            for blk in touched:
+                lo, m, hi = first[blk], mid[blk], end[blk]
+                mid[blk] = lo
+                if m == hi:
                     continue
-                new_set = set(overlap)
-                y_set -= new_set
-                new_id = len(blocks)
-                blocks.append(new_set)
-                for s in new_set:
-                    block_of[s] = new_id
-                if y in in_work:
-                    work.append(new_id)
-                    in_work.add(new_id)
+                if m - lo <= hi - m:
+                    first[blk] = mid[blk] = hi = m
                 else:
-                    # queue only the smaller half, that is the O(bn log n) trick
-                    smaller = new_id if len(new_set) <= len(y_set) else y
-                    work.append(smaller)
-                    in_work.add(smaller)
-
-    # renumber blocks in BFS order from the initial block; block order[i]
-    # becomes state i, and its row is emitted as soon as it is dequeued
-    start = block_of[dfa.initial]
-    order = [start]
-    new_of = {start: 0}
-    flat = []
-    finals = set()
-    qi = 0
-    while qi < len(order):
-        rep = next(iter(blocks[order[qi]]))
-        if rep in final_set:
-            finals.add(qi)
-        qi += 1
-        row = rep * b
-        for a in range(b):
-            t = block_of[trans[row + a]]
-            if t not in new_of:
-                new_of[t] = len(order)
-                order.append(t)
-            flat.append(new_of[t])
-    return Dfa(b, len(order), 0, flat, frozenset(finals))
+                    end[blk] = lo = m
+                new = len(first)
+                first.append(lo)
+                end.append(hi)
+                mid.append(lo)
+                for s in elems[lo:hi]:
+                    cls[s] = new
+                work.append(new)
+    return cls
 
 
 def isomorphic(a: Dfa, b: Dfa) -> bool:

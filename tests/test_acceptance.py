@@ -180,6 +180,40 @@ def test_criterion_09_linear_scaling():
         assert ratio <= 13, f"decade ratio {ratio:.2f} exceeds 13 ({medians})"
 
 
+CHAIN_MINIMIZE_BENCH = """
+import gc, statistics, time
+from updfa import Dfa, minimize
+sizes = (10**4, 10**5)
+chains = [Dfa(2, n, 0, [min(s + 1, n - 1) for s in range(n) for _ in range(2)],
+              frozenset({n - 1})) for n in sizes]
+times = [[] for _ in sizes]
+gc.disable()
+for _ in range(5):
+    for dfa, samples in zip(chains, times):
+        t0 = time.perf_counter_ns()
+        minimize(dfa)
+        samples.append(time.perf_counter_ns() - t0)
+print(*(int(statistics.median(s)) for s in times))
+"""
+
+
+def test_minimize_chain_scaling():
+    # in the chain, state i reads every digit into i + 1 and only the last
+    # state is final, so each Moore round splits off a single state: Moore
+    # rounds alone cost about 100x per decade here, O(bn log n) about 12x;
+    # measured in a fresh interpreter, repeats round-robin over the sizes
+    proc = subprocess.run(
+        [sys.executable, "-c", CHAIN_MINIMIZE_BENCH],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    small, large = map(int, proc.stdout.split())
+    ratio = large / small
+    assert ratio <= 20, f"decade ratio {ratio:.2f} exceeds 20 ({small}, {large} ns)"
+
+
 def test_criterion_10_group_structure_lemmas(corpus_sets):
     with Budget(30):
         for s in corpus_sets:

@@ -24,6 +24,7 @@ from updfa import (
     validate,
     write_dfa,
 )
+from updfa import automaton
 from updfa.errors import (
     BadDigit,
     BadStateId,
@@ -110,24 +111,70 @@ def reachable_states(dfa):
     return seen
 
 
-def moore_minimal_size(dfa):
-    """Block count of Moore refinement on the reachable completed automaton."""
+def moore_minimize(dfa):
+    """Reference minimizer: Moore rounds to the fixpoint on the completed
+    automaton, then the blocks reachable from the initial one, numbered in
+    BFS order (digit order)."""
     d = complete(dfa)
     b = d.base
-    reach = sorted(reachable_states(d))
-    block = {s: int(s in d.finals) for s in reach}
+    block = moore_rounds(d)[-1]
+    rep = {}
+    for s in range(d.state_count):
+        rep.setdefault(block[s], s)
+    number = {block[d.initial]: 0}
+    queue = [block[d.initial]]
+    trans = []
+    for blk in queue:
+        for a in range(b):
+            t = block[d.transitions[rep[blk] * b + a]]
+            if t not in number:
+                number[t] = len(queue)
+                queue.append(t)
+            trans.append(number[t])
+    finals = frozenset(number[blk] for blk in queue if rep[blk] in d.finals)
+    return Dfa(base=b, state_count=len(queue), initial=0, transitions=trans, finals=finals)
+
+
+def assert_same_table(got, want):
+    assert got.state_count == want.state_count
+    assert got.initial == want.initial == 0
+    assert got.transitions == want.transitions
+    assert got.finals == want.finals
+
+
+def moore_rounds(dfa):
+    """Partitions of a complete automaton after Moore rounds 0, 1, ... up to
+    the fixpoint, each as dense block ids by first occurrence."""
+    n, b = dfa.state_count, dfa.base
+    cls = dense([int(s in dfa.finals) for s in range(n)])
+    rounds = [cls]
     while True:
-        sigs = {
-            s: (block[s], tuple(block[d.transitions[s * b + a]] for a in range(b)))
-            for s in reach
-        }
-        ids: dict = {}
-        new = {}
-        for s in reach:
-            new[s] = ids.setdefault(sigs[s], len(ids))
-        if new == block:
-            return len(ids)
-        block = new
+        sigs = [
+            (cls[s],) + tuple(cls[dfa.transitions[s * b + a]] for a in range(b))
+            for s in range(n)
+        ]
+        nxt = dense(sigs)
+        if max(nxt) == max(cls):
+            return rounds
+        cls = nxt
+        rounds.append(cls)
+
+
+def dense(keys):
+    ids: dict = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
+def cyclic_dfa(rng, n, base):
+    """Mostly one big cycle with at most n/50 finals: Moore rounds split few
+    blocks each, which is what hands minimize over to its Hopcroft tail."""
+    trans = [
+        (s + 1) % n if rng.random() < 0.9 else rng.randrange(n)
+        for s in range(n)
+        for _ in range(base)
+    ]
+    finals = rng.sample(range(n), rng.randint(1, max(1, n // 50)))
+    return Dfa(base, n, rng.randrange(n), trans, frozenset(finals))
 
 
 def kosaraju_partition(dfa):
@@ -359,7 +406,8 @@ def test_minimize_collapses_equivalent_states():
         2, 3, 0, {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2, (2, 0): 1, (2, 1): 2}, {1, 2}
     )
     m = minimize(d)
-    assert m.state_count == moore_minimal_size(d) == 2
+    assert m.state_count == 2
+    assert_same_table(m, moore_minimize(d))
 
 
 def test_minimize_drops_unreachable_states():
@@ -390,8 +438,44 @@ def test_minimize_initial_is_zero_and_reachable():
 def test_minimize_language_and_size(d):
     m = minimize(d)
     assert m.is_complete
-    assert m.state_count == moore_minimal_size(d)
+    assert_same_table(m, moore_minimize(d))
     assert language(m, 6) == language(d, 6)
+
+
+def test_minimize_matches_reference_table(monkeypatch):
+    tails = []
+    tail = automaton._hopcroft
+
+    def counted_tail(*args):
+        tails.append(args)
+        return tail(*args)
+
+    monkeypatch.setattr(automaton, "_hopcroft", counted_tail)
+    rng = random.Random(20261018)
+    cases = [random_dfa(rng, max_states=30, max_base=4) for _ in range(300)]
+    # unreachable states: a second random automaton no transition enters
+    for _ in range(100):
+        d = random_dfa(rng, max_states=15)
+        n, b = d.state_count, d.base
+        junk = [rng.randint(MISSING, 2 * n - 1) for _ in range(n * b)]
+        finals = d.finals | {s + n for s in range(n) if rng.random() < 0.4}
+        cases.append(Dfa(b, 2 * n, d.initial, tuple(d.transitions) + tuple(junk), finals))
+    cases += [cyclic_dfa(rng, rng.randint(2, 1500), rng.randint(2, 3)) for _ in range(40)]
+    for d in cases:
+        assert_same_table(minimize(d), moore_minimize(d))
+    assert len(tails) >= 20, "too few cases reached the Hopcroft tail"
+
+
+def test_hopcroft_tail_from_every_moore_round():
+    rng = random.Random(5)
+    cases = [complete(random_dfa(rng, max_states=40, max_base=3)) for _ in range(100)]
+    cases += [cyclic_dfa(rng, rng.randint(2, 300), 2) for _ in range(20)]
+    for d in cases:
+        cols = [d.transitions[a :: d.base] for a in range(d.base)]
+        rounds = moore_rounds(d)
+        fixpoint = rounds[-1]
+        for prev, cls in zip([[0] * d.state_count] + rounds, rounds):
+            assert dense(automaton._hopcroft(cols, list(cls), prev)) == fixpoint
 
 
 @settings(max_examples=60, deadline=None)
