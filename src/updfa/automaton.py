@@ -424,69 +424,14 @@ def isomorphic(a: Dfa, b: Dfa) -> bool:
     return True
 
 
-def _group_condensation(dfa: Dfa) -> Condensation:
-    """Condensation of a complete group automaton, by orbit flood fill.
-
-    A permutation of a finite forward-closed set is onto it, so forward
-    closure under permutation letters is closed under their inverses too:
-    components are exactly the orbits of the letter group, no edge leaves
-    its orbit, and every orbit has internal positive-digit transitions.
-    The flood fill touches one byte per edge where the general search
-    below reads a four-byte lowlink, which is what the million-state
-    benchmark notices.
-    """
-    n, b = dfa.state_count, dfa.base
-    trans = dfa.transitions
-    seen = bytearray(n)
-    order = array("i", (0,)) * n
-    members: list[tuple[int, ...]] = []
-    digits = range(b)
-    filled = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        lo = filled
-        seen[start] = 1
-        order[filled] = start
-        filled += 1
-        qi = lo
-        while qi < filled:
-            row = order[qi] * b
-            qi += 1
-            for a in digits:
-                t = trans[row + a]
-                if not seen[t]:
-                    seen[t] = 1
-                    order[filled] = t
-                    filled += 1
-        members.append(tuple(order[lo:filled]))
-    k = len(members)
-    if k == 1:
-        scc_of = (0,) * n
-    else:
-        of = array("i", (0,)) * n
-        for c, mem in enumerate(members):
-            for s in mem:
-                of[s] = c
-        scc_of = tuple(of)
-    return Condensation(
-        scc_of=scc_of,
-        scc_members=tuple(members),
-        scc_type=(SccType.TYPE_ONE,) * k,
-        descendants=(frozenset(),) * k,
-    )
-
-
 def condensation(dfa: Dfa) -> Condensation:
     """Tarjan SCC partition plus digit-type classification, O(base * n).
 
     Sccs are numbered in emission order, which is reverse topological.
-    Group automata take the orbit fast path; their components have no
-    cross edges, and the root-first flood numbering coincides with
-    emission order there.
+    One algorithm serves every automaton; the decision never needs it on a
+    minimal group automaton, which is a single scc (see
+    decision._conditions).
     """
-    if dfa.is_complete and dfa.is_group:
-        return _group_condensation(dfa)
     n, b = dfa.state_count, dfa.base
     trans = dfa.transitions
 

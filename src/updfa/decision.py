@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 from .automaton import Condensation, Dfa, SccType, condensation, minimize
 from .errors import PreconditionViolated
 from .numeration import UpSet, _with_least_period
-from .pascal import PascalParams, QuotientCheck, is_pascal_quotient
+from .pascal import PascalParams, is_pascal_quotient
 
 # decide calls none of these; they stay bound here because the benchmark's
 # tracer (bench/spans.py) wraps the layers of a decision by their names in
@@ -69,14 +69,6 @@ class DecisionResult:
             if self.failure.diagnostic is not None:
                 out["diagnostic"] = self.failure.diagnostic
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class Embedding:
-    """A map f: C + D -> D, identity on D, with f(x.0) = f(x).0 and
-    x.a = f(x).a for every positive digit a."""
-
-    mapping: dict[int, int]
 
 
 class _Atomic(NamedTuple):
@@ -129,15 +121,13 @@ def _scc_sub_dfa(
 
 
 def _check_atomic_scc(
-    dfa: Dfa, members: tuple[int, ...], whole: QuotientCheck | None = None
+    dfa: Dfa, members: tuple[int, ...]
 ) -> tuple[_Atomic | None, str | None]:
-    """UP2 on one scc: closure, then the Pascal-quotient test.  `whole`, a
-    quotient test already run on dfa itself, answers for an scc whose
-    sub-automaton is dfa."""
+    """UP2 on one scc: closure, then the Pascal-quotient test."""
     sub, ordered = _scc_sub_dfa(dfa, members)
     if sub is None:
         return None, "transitions leave the scc"
-    check = whole if whole is not None and sub is dfa else is_pascal_quotient(sub)
+    check = is_pascal_quotient(sub)
     if check.params is None:
         return None, check.failure.value
     return _Atomic(check.params, check.labels, ordered), None
@@ -146,7 +136,14 @@ def _check_atomic_scc(
 def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
     """UP0, the condensation, then UP3, UP2 and UP4, each run once on a
     minimal complete automaton.  Returns the first failure, or None and
-    the facts the checks established."""
+    the facts the checks established.
+
+    A group automaton skips the condensation.  Minimal means every state
+    is reachable, and the orbit of the initial state under permutation
+    letters is forward-closed, so a minimal group automaton is one scc
+    with internal positive-digit transitions: UP3 and UP4 are vacuous,
+    and UP2 is the single quotient test on the whole automaton.
+    """
     n, b = dfa.state_count, dfa.base
 
     # UP0 is zero-stability of the whole automaton; the cached check also
@@ -159,14 +156,11 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
         diag = "state and its 0-successor differ on finality"
         return ConditionFailure("UP0", s, diag), None
 
-    # a zero-stable group automaton that is outright a Pascal quotient is a
-    # single scc (the quotient is forward-connected from its initial state,
-    # and orbits of the letter group are forward-closed), so the generic
-    # path below would find one positive-digit scc and accept it through
-    # the very same quotient test; answer directly and skip the condensation
-    whole = is_pascal_quotient(dfa) if dfa.is_group else None
-    if whole is not None and whole.accepted:
-        atomic = _Atomic(whole.params, whole.labels, range(n))
+    if dfa.is_group:
+        check = is_pascal_quotient(dfa)
+        if not check.accepted:
+            return ConditionFailure("UP2", 0, check.failure.value), None
+        atomic = _Atomic(check.params, check.labels, range(n))
         return None, _Verified(None, {0: atomic}, {})
 
     cond = condensation(dfa)
@@ -188,21 +182,27 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
     for c in range(cond.count):
         if types[c] is not SccType.TYPE_ONE:
             continue
-        found, diag = _check_atomic_scc(dfa, cond.scc_members[c], whole)
+        found, diag = _check_atomic_scc(dfa, cond.scc_members[c])
         if found is None:
             return ConditionFailure("UP2", c, diag), None
         atomic[c] = found
+
+    # digit 1 permutes every accepted positive-digit scc, so each of their
+    # states has exactly one 1-predecessor among the scc's own members
+    trans = dfa.transitions
+    pred1 = array("i", (-1,)) * n
+    for found in atomic.values():
+        for z in found.members:
+            pred1[trans[z * b + 1]] = z
 
     image: dict[int, int] = {}
     for c in range(cond.count):
         if types[c] is not SccType.TYPE_TWO:
             continue
-        (d,) = cond.descendants[c]
-        emb = build_embedding(dfa, cond, c, d)
-        if emb is None:
+        f = build_embedding(dfa, cond.scc_members[c], pred1)
+        if f is None:
             return ConditionFailure("UP4", c, "no embedding into the successor scc"), None
-        for x in cond.scc_members[c]:
-            image[x] = emb.mapping[x]
+        image.update(f)
 
     return None, _Verified(cond, atomic, image)
 
@@ -210,9 +210,10 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
 def check_conditions(dfa: Dfa) -> DecisionResult:
     """Decide the structural conditions on a minimal complete automaton.
 
-    Check order is UP0, then condensation, then UP3, UP2, UP4, failing on
-    the first violation; everything is O(base * n).  The verdict carries no
-    set parameters; decide() adds them.
+    Check order is UP0, then, for a group automaton, UP2 as one quotient
+    test of the whole automaton, else the condensation and UP3, UP2, UP4,
+    failing on the first violation; everything is O(base * n).  The
+    verdict carries no set parameters; decide() adds them.
     """
     if not dfa.is_complete:
         raise PreconditionViolated("check_conditions requires a complete automaton")
@@ -221,34 +222,29 @@ def check_conditions(dfa: Dfa) -> DecisionResult:
 
 
 def build_embedding(
-    dfa: Dfa, cond: Condensation, c: int, d: int
-) -> Embedding | None:
-    """Construct and verify the only possible embedding of scc c into scc d.
+    dfa: Dfa, circuit: Sequence[int], pred1: array
+) -> dict[int, int] | None:
+    """The only possible embedding f of a 0-circuit scc C into its
+    successor scc D, on C's own states, or None if it fails.
 
-    The candidate is forced: f(x) must be the unique state of D whose
-    1-successor equals x's (unique because D passed the group-automaton
-    check).  Returns None whenever any required equation fails.
+    f(x) is forced to be pred1[x.1], the state of D with the same
+    1-successor as x.  After UP3 and UP2, x.1 lies in D and D's 1-column
+    is a permutation of D, so pred1 answers for it.  f must then satisfy
+    x.a = f(x).a for every positive digit a and f(x.0) = f(x).0; x.0 lies
+    in C, so f is only ever read on C.
     """
     b = dfa.base
     trans = dfa.transitions
-    d_members = cond.scc_members[d]
-    pred1 = {trans[y * b + 1]: y for y in d_members}
-    f = {y: y for y in d_members}
-    for x in cond.scc_members[c]:
-        fx = pred1.get(trans[x * b + 1])
-        if fx is None:
-            return None
-        f[x] = fx
-    for x in cond.scc_members[c]:
-        fx = f[x]
+    f = {x: pred1[trans[x * b + 1]] for x in circuit}
+    for x, fx in f.items():
         row_x = x * b
         row_f = fx * b
-        for a in range(1, b):
-            if trans[row_x + a] != trans[row_f + a]:
-                return None
-        if f.get(trans[row_x]) != trans[row_f]:
+        # digit 1 agrees by the choice of f(x)
+        if trans[row_x + 2 : row_x + b] != trans[row_f + 2 : row_f + b]:
             return None
-    return Embedding(f)
+        if f[trans[row_x]] != trans[row_f]:
+            return None
+    return f
 
 
 def extract_parameters(dfa: Dfa) -> UpSet:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .automaton import Dfa
@@ -76,7 +77,7 @@ class UpSet:
             raise PreconditionViolated(f"period {self.period} < 1")
         if len(self.remainders) != self.period:
             raise PreconditionViolated("remainder bit vector must have length p")
-        if any(b not in (0, 1) for b in self.remainders):
+        if self.remainders.translate(None, b"\x00\x01"):
             raise PreconditionViolated("remainder bits must be 0 or 1")
         if list(self.mismatches) != sorted(set(self.mismatches)):
             raise PreconditionViolated("mismatches must be sorted and distinct")
@@ -109,7 +110,7 @@ class UpSet:
 
     @cached_property
     def remainder_set(self) -> frozenset[int]:
-        return frozenset(r for r in range(self.period) if self.remainders[r])
+        return frozenset(compress(range(self.period), self.remainders))
 
     @cached_property
     def _mismatch_set(self) -> frozenset[int]:

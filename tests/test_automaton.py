@@ -71,6 +71,27 @@ def random_dfa(rng, max_states=10, max_base=3, complete_only=False):
     )
 
 
+def random_multi_orbit_group_dfa(rng, base: int, orbits: int) -> Dfa:
+    """A permutation automaton whose letter group has the given number of
+    orbits, with the states of different orbits interleaved."""
+    sizes = [rng.randint(1, 8) for _ in range(orbits)]
+    n = sum(sizes)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    trans = [0] * (n * base)
+    lo = 0
+    for size in sizes:
+        block = ids[lo : lo + size]
+        lo += size
+        for a in range(base):
+            image = block[:]
+            rng.shuffle(image)
+            for s, t in zip(block, image):
+                trans[s * base + a] = t
+    finals = frozenset(s for s in range(n) if rng.random() < 0.4)
+    return Dfa(base, n, rng.randrange(n), trans, finals)
+
+
 def relabel(dfa, perm):
     n, b = dfa.state_count, dfa.base
     trans = [MISSING] * (n * b)
@@ -630,6 +651,11 @@ def test_condensation_random_small():
     rng = random.Random(20260814)
     for _ in range(400):
         assert_condensation_sound(random_dfa(rng, max_states=12, max_base=4))
+    # orbits of the letter group are the sccs, with no edge between them
+    for i in range(300):
+        d = random_multi_orbit_group_dfa(rng, 2 + i % 3, rng.randint(2, 5))
+        assert is_group_automaton(d) and condensation(d).count >= 2
+        assert_condensation_sound(d)
 
 
 def test_condensation_random_larger():

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+from array import array
 
 import pytest
 
@@ -10,6 +13,7 @@ import updfa.automaton
 import updfa.decision
 import updfa.numeration
 from updfa import (
+    ConditionFailure,
     Dfa,
     SccType,
     UpSet,
@@ -132,9 +136,21 @@ def test_instance_conditions_pass():
 # ---------------------------------------------------------------- embeddings
 
 
+def pred1_of(d: Dfa, cond) -> array:
+    """1-predecessors over the positive-digit sccs, as _conditions builds
+    them once UP2 has passed."""
+    pred1 = array("i", (-1,)) * d.state_count
+    for c in range(cond.count):
+        if cond.scc_type[c] is SccType.TYPE_ONE:
+            for y in cond.scc_members[c]:
+                pred1[d.step(y, 1)] = y
+    return pred1
+
+
 def test_embeddings_are_the_forced_ones():
     d = instance()
     cond = condensation(d)
+    pred1 = pred1_of(d, cond)
     cases = [
         ({3}, {3: 8}),        # I2 -> d0
         ({4, 5}, {4: 9, 5: 10}),  # B2 -> d1, C2 -> d2
@@ -142,33 +158,32 @@ def test_embeddings_are_the_forced_ones():
     ]
     for members, want in cases:
         c = cond.scc_of[next(iter(members))]
-        (dsc,) = cond.descendants[c]
-        emb = build_embedding(d, cond, c, dsc)
-        assert emb is not None
-        # f is the identity on the target scc and forced on the circuit
-        identity = {x: x for x in cond.scc_members[dsc]}
-        assert emb.mapping == want | identity
+        assert set(cond.scc_members[c]) == members
+        # f is forced on the circuit and maps nothing else
+        assert build_embedding(d, cond.scc_members[c], pred1) == want
 
 
 def test_embedding_commutes_with_transitions():
     d = instance()
     cond = condensation(d)
+    pred1 = pred1_of(d, cond)
     for c in range(cond.count):
         if cond.scc_type[c] != SccType.TYPE_TWO:
             continue
         (dsc,) = cond.descendants[c]
-        emb = build_embedding(d, cond, c, dsc)
-        for x, fx in emb.mapping.items():
+        f = build_embedding(d, cond.scc_members[c], pred1)
+        assert set(f) == set(cond.scc_members[c])
+        for x, fx in f.items():
+            assert cond.scc_of[fx] == dsc
             assert d.step(x, 1) == d.step(fx, 1)
-            assert emb.mapping[d.step(x, 0)] == d.step(fx, 0)
+            assert f[d.step(x, 0)] == d.step(fx, 0)
 
 
 def test_embedding_fails_when_zero_action_disagrees():
     d = mutate(instance(), 6, 1, 12)  # D2.1 -> e1, but e1.0 != e1
     cond = condensation(d)
     c = cond.scc_of[6]
-    (dsc,) = cond.descendants[c]
-    assert build_embedding(d, cond, c, dsc) is None
+    assert build_embedding(d, cond.scc_members[c], pred1_of(d, cond)) is None
 
 
 # ---------------------------------------------------------------- conditions
@@ -224,6 +239,55 @@ def test_up4_failure_minimal_instance():
     res = decide(d)
     assert res.failure.condition == "UP4"
     assert brute_decide(d, 256, 64) is None
+
+
+UP4_SCALING_BENCH = """
+import gc, statistics, time
+from updfa import Dfa, check_conditions
+from updfa.cli import bench_automaton
+
+def circuits_dfa(L):
+    # D = {0} + pN with p = 2^L - 1, plus a state x_e per residue e that
+    # reads 0 into x_(e/2 mod p) and 1 as e does, final iff e != 0: about
+    # 2^L / L 0-circuits of length dividing L, each embedding into D
+    p = 2**L - 1
+    d = bench_automaton(p, 2)
+    half = pow(2, -1, p)
+    trans = list(d.transitions)
+    for e in range(p):
+        trans += [p + e * half % p, d.transitions[2 * e + 1]]
+    return Dfa(2, 2 * p, 0, trans, frozenset([0, *range(p + 1, 2 * p)]))
+
+dfas = [circuits_dfa(L) for L in (10, 12, 14)]
+assert all(check_conditions(dfa).ultimately_periodic for dfa in dfas)
+times = [[] for _ in dfas]
+gc.disable()
+for _ in range(7):
+    for dfa, samples in zip(dfas, times):
+        t0 = time.perf_counter_ns()
+        check_conditions(dfa)
+        samples.append(time.perf_counter_ns() - t0)
+print(*(int(statistics.median(s)) for s in times))
+"""
+
+
+def test_up4_scaling_many_circuits_into_one_scc():
+    # the state count grows 4x per step; an embedding that maps all of D
+    # for every 0-circuit costs |D| per circuit, about 10x to 15x per step
+    # here, a linear check about 4x; measured in a fresh interpreter,
+    # repeats round-robin over the sizes (as criterion 09 in
+    # test_acceptance.py, which times the group family)
+    proc = subprocess.run(
+        [sys.executable, "-c", UP4_SCALING_BENCH],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    medians = list(map(int, proc.stdout.split()))
+    for smaller, larger in zip(medians, medians[1:]):
+        ratio = larger / smaller
+        assert ratio <= 6, f"4x-size ratio {ratio:.2f} exceeds 6 ({medians} ns)"
 
 
 def test_check_conditions_requires_complete():
@@ -388,17 +452,18 @@ def test_decide_computes_each_fact_once(monkeypatch):
     assert calls["is_pascal_quotient"] == positive == 3
     assert calls["accepts"] == calls["isomorphic"] == 0
     assert calls["build_minimal_automaton"] == 0
-    # group automaton rejected by the fast path: one quotient test, reused
-    # for its single scc under UP2
-    calls["is_pascal_quotient"] = 0
+    # a minimal group automaton is one scc: one quotient test decides it,
+    # rejected or accepted, and no condensation runs
+    calls["is_pascal_quotient"] = calls["condensation"] = 0
     res = decide(EVEN_ONES)
-    assert res.failure.condition == "UP2"
+    assert res.failure == ConditionFailure("UP2", 0, "PeriodNotCoprime")
     assert calls["is_pascal_quotient"] == 1
-    # group automaton accepted by the fast path: one quotient test in all
+    assert calls["condensation"] == 0
     calls["is_pascal_quotient"] = 0
     res = decide(build_pascal(7, [6], 2))
     assert res.params == UpSet.from_parts(7, [6])
     assert calls["is_pascal_quotient"] == 1
+    assert calls["condensation"] == 0
     assert calls["accepts"] == calls["isomorphic"] == 0
     assert calls["build_minimal_automaton"] == 0
 
