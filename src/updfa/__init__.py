@@ -36,7 +36,6 @@ from .errors import (
     FormatError,
     NotCanonical,
     NotCoprime,
-    NotPascalLike,
     PreconditionViolated,
     StateLimitExceeded,
     UpdfaError,
@@ -81,7 +80,6 @@ __all__ = [
     "FormatError",
     "NotCanonical",
     "NotCoprime",
-    "NotPascalLike",
     "PascalParams",
     "PreconditionViolated",
     "QuotientCheck",

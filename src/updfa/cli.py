@@ -25,7 +25,7 @@ from .errors import (
     PreconditionViolated,
     UpdfaError,
 )
-from .numeration import UpSet, build_minimal_automaton, format_upset
+from .numeration import UpSet, build_minimal_automaton, format_list, format_upset
 from .pascal import PascalParams, build_pascal, format_params
 
 
@@ -33,11 +33,6 @@ def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text()
-
-
-def _fmt_list(xs) -> str:
-    xs = sorted(xs)
-    return ",".join(str(x) for x in xs) if xs else "-"
 
 
 def _parse_int(text: str) -> int:
@@ -83,8 +78,8 @@ def cmd_decide(args) -> int:
         s = result.params
         print("ultimately periodic")
         print(
-            f"period={s.period} remainders={_fmt_list(s.remainder_set)}"
-            f" mismatches={_fmt_list(s.mismatches)}"
+            f"period={s.period} remainders={format_list(s.remainders)}"
+            f" mismatches={format_list(s.mismatches)}"
         )
     else:
         f = result.failure
@@ -105,9 +100,9 @@ def cmd_gen(args) -> int:
         mis = _parse_int_list(kv.get("I", "-"))
         s = UpSet.from_parts(p, rem, mis)
         given = (p, frozenset(rem), tuple(sorted(set(mis))))
-        if (s.period, s.remainder_set, s.mismatches) != given:
+        if (s.period, s.remainders, s.mismatches) != given:
             raise NotCanonical(
-                f"(p={p}, R={_fmt_list(rem)}, I={_fmt_list(mis)}) is not canonical;"
+                f"(p={p}, R={format_list(rem)}, I={format_list(mis)}) is not canonical;"
                 f" its canonical form is {format_upset(s)}"
             )
         dfa = build_minimal_automaton(s, base)
@@ -171,7 +166,7 @@ def cmd_info(args) -> int:
     for entry, params in zip(sccs, quotients):
         print(
             f"scc {entry['id']} size={entry['size']} type={entry['type']}"
-            f" descendants={_fmt_list(entry['descendants'])}"
+            f" descendants={format_list(entry['descendants'])}"
         )
         if params is not None:
             print(f"scc {entry['id']} pascal {format_params(params)}")

@@ -61,7 +61,7 @@ class DecisionResult:
         out: dict = {"ultimately_periodic": self.ultimately_periodic}
         if self.params is not None:
             out["period"] = self.params.period
-            out["remainders"] = sorted(self.params.remainder_set)
+            out["remainders"] = sorted(self.params.remainders)
             out["mismatches"] = list(self.params.mismatches)
         if self.failure is not None:
             out["failed_condition"] = self.failure.condition
@@ -251,9 +251,9 @@ def extract_parameters(dfa: Dfa) -> UpSet:
     """Recover the canonical (p, R, I) accepted by a complete automaton;
     raises PreconditionViolated if it fails check_conditions.
 
-    O(b*n + p + b * sum of the digit counts of I), read off the facts the
-    conditions verified; see _read_parameters.  The answer is right on a
-    non-minimal automaton that passes the conditions too.
+    O(b*n + b*n*|R| + b * sum of the digit counts of I), read off the
+    facts the conditions verified; see _read_parameters.  The answer is
+    right on a non-minimal automaton that passes the conditions too.
     """
     if not dfa.is_complete:
         raise PreconditionViolated("extract_parameters requires a complete automaton")
@@ -263,19 +263,14 @@ def extract_parameters(dfa: Dfa) -> UpSet:
     return _read_parameters(dfa, verified)
 
 
-def _accepted_bits(atomic: _Atomic, label: int, base: int) -> bytes:
-    """Membership of m = 0..p-1 in the set of the quotient state with the
-    given label (s, t): m is in it iff (s + m*base^t) mod p is in R."""
-    params = atomic.params
+def _accepted_residues(params: PascalParams, label: int, base: int) -> frozenset:
+    """The residues mod p of the set of the quotient state with the given
+    label (s, t): m is in it iff (s + m*base^t) mod p is in R, that is,
+    iff m = (r - s) * base^-t (mod p) for some r in R."""
     p = params.p
     s, t = divmod(label, params.k)
-    rem = bytearray(p)
-    for r in params.remainders:
-        rem[r] = 1
-    step = pow(base, t, p)
-    if step == 1:
-        return bytes(rem[s:] + rem[:s])
-    return bytes(rem[(s + m * step) % p] for m in range(p))
+    step = pow(base, -t, p)
+    return frozenset((r - s) * step % p for r in params.remainders)
 
 
 def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
@@ -295,9 +290,11 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
               b in the period of P_q;
       pz0(q)  whether 0 is in P_q: final(rep(q)), else pz0(q.0).
 
-    Then p = p_c * b^ex(initial), R is tiled from the representatives the
-    descent from the initial state reaches, and n is a mismatch iff its
-    canonical word leads to a state q with final(q) != pz0(q).  Every fact
+    Then p = p_c * b^ex(initial), R is the union of the residues of the
+    representatives the descent from the initial state reaches, each
+    spread over the stride of the word that reached it, and n is a
+    mismatch iff its canonical word leads to a state q with
+    final(q) != pz0(q).  Every fact
     used is an equation checked on the automaton, so the answer is right
     even when the automaton is not minimal; only p may then need reducing
     to the least period, which the last step does anyway.
@@ -308,7 +305,8 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
     p_c = math.lcm(*(found.params.p for found in atomic.values()))
     if cond is None:
         (whole,) = atomic.values()
-        return _with_least_period(_accepted_bits(whole, whole.labels[init], b), [])
+        rem = _accepted_residues(whole.params, whole.labels[init], b)
+        return _with_least_period(p_c, rem, [])
 
     n = dfa.state_count
     trans = dfa.transitions
@@ -352,10 +350,10 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
             deep[t] or flags[t] != pz0[t] for t in succ[1:]
         )
 
-    # descend until a representative answers, and tile its residue
-    # pattern into the stride of R that the word read so far selects
+    # descend until a representative answers, and spread its residues
+    # over the stride of R that the word read so far selects
     p = p_c * b ** ex[init]
-    rem = bytearray(p)
+    rem: set[int] = set()
     stack = [(init, 1, 0)]  # state, b^length and value of the word read
     while stack:
         q, weight, v = stack.pop()
@@ -365,8 +363,10 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
             for a in range(b):
                 stack.append((trans[row + a], weight * b, v + a * weight))
             continue
-        bits = _accepted_bits(atomic[cond.scc_of[z]], label[z], b)
-        rem[v::weight] = bits * (p // weight // len(bits))
+        params = atomic[cond.scc_of[z]].params
+        stride = params.p * weight
+        for m in _accepted_residues(params, label[z], b):
+            rem.update(range(v + m * weight, p, stride))
 
     # only words that end in a positive digit (or the empty word) are
     # canonical expansions; prune to the states a mismatch lies below
@@ -385,7 +385,7 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
                 if deep[t] or flags[t] != pz0[t]:
                     stack.append((t, weight * b, v + a * weight, True))
     mismatches.sort()
-    return _with_least_period(bytes(rem), mismatches)
+    return _with_least_period(p, frozenset(rem), mismatches)
 
 
 def decide(dfa: Dfa) -> DecisionResult:

@@ -29,17 +29,6 @@ class NotCanonical(UpdfaError):
     """A (period, remainders) pair admits a smaller period."""
 
 
-class NotPascalLike(UpdfaError):
-    """The automaton cannot be a Pascal-automaton quotient.
-
-    `reason` is a pascal.QuotientFailure value naming the failed step.
-    """
-
-    def __init__(self, message: str, reason=None):
-        super().__init__(message)
-        self.reason = reason
-
-
 class StateLimitExceeded(UpdfaError):
     """A worklist closure grew past its configured state limit."""
 

@@ -2,7 +2,9 @@
 periodic sets of naturals in canonical form.
 
 A set S is stored as (p, R, I): the periodic part R + p*N plus an exact
-finite mismatch set I, so n is in S iff (n mod p in R) XOR (n in I).
+finite mismatch set I, so n is in S iff (n mod p in R) XOR (n in I).  R is
+a frozenset of residues and I a sorted tuple, so what a set costs follows
+|R| + |I| and never p itself: 2^40 * N is as cheap as 2N.
 Canonical means p is the minimal eventual period of the characteristic
 sequence and I is exactly where S differs from the periodic extension, so
 two UpSets denote the same set iff they are equal component-wise.
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Sequence
 
 from .automaton import Dfa
@@ -65,20 +66,25 @@ class UpSet:
     """Canonical ultimately periodic subset of the naturals.
 
     Only construct through from_parts; direct construction is for code
-    that has already established canonicality.
+    that has already established canonicality.  Any iterable of residues
+    is stored as a frozenset.
     """
 
     period: int
-    remainders: bytes
+    remainders: frozenset[int]
     mismatches: tuple[int, ...]
 
     def __post_init__(self):
         if self.period < 1:
             raise PreconditionViolated(f"period {self.period} < 1")
-        if len(self.remainders) != self.period:
-            raise PreconditionViolated("remainder bit vector must have length p")
-        if self.remainders.translate(None, b"\x00\x01"):
-            raise PreconditionViolated("remainder bits must be 0 or 1")
+        rem = frozenset(self.remainders)  # the same object if it is one
+        object.__setattr__(self, "remainders", rem)
+        lo, hi = min(rem, default=0), max(rem, default=0)
+        if lo < 0 or hi >= self.period:
+            bad = lo if lo < 0 else hi
+            raise PreconditionViolated(
+                f"remainder {bad} out of range [0, {self.period})"
+            )
         if list(self.mismatches) != sorted(set(self.mismatches)):
             raise PreconditionViolated("mismatches must be sorted and distinct")
         if self.mismatches and self.mismatches[0] < 0:
@@ -92,25 +98,12 @@ class UpSet:
         mismatches: Iterable[int] = (),
     ) -> "UpSet":
         """Canonical UpSet of the set (remainders + period*N) XOR mismatches."""
-        if period < 1:
-            raise PreconditionViolated(f"period {period} < 1")
-        bits = bytearray(period)
-        for r in remainders:
-            if not 0 <= r < period:
-                raise PreconditionViolated(f"remainder {r} out of range [0, {period})")
-            bits[r] = 1
-        mis = sorted(set(mismatches))
-        if mis and mis[0] < 0:
-            raise PreconditionViolated("mismatches must be naturals")
-        return _with_least_period(bytes(bits), mis)
+        s = cls(period, remainders, tuple(sorted(set(mismatches))))
+        return _with_least_period(s.period, s.remainders, s.mismatches)
 
     @property
     def preperiod(self) -> int:
         return self.mismatches[-1] + 1 if self.mismatches else 0
-
-    @cached_property
-    def remainder_set(self) -> frozenset[int]:
-        return frozenset(compress(range(self.period), self.remainders))
 
     @cached_property
     def _mismatch_set(self) -> frozenset[int]:
@@ -119,11 +112,11 @@ class UpSet:
     def membership(self, n: int) -> bool:
         if n < 0:
             raise PreconditionViolated(f"n must be a natural, got {n}")
-        return bool(self.remainders[n % self.period]) != (n in self._mismatch_set)
+        return (n % self.period in self.remainders) != (n in self._mismatch_set)
 
 
-EMPTY_SET = UpSet(1, b"\x00", ())
-ALL_NATURALS = UpSet(1, b"\x01", ())
+EMPTY_SET = UpSet(1, frozenset(), ())
+ALL_NATURALS = UpSet(1, frozenset({0}), ())
 
 
 def membership(s: UpSet, n: int) -> bool:
@@ -145,51 +138,59 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def least_period(bits: bytes) -> int:
-    """The smallest d dividing len(bits) under which bits, read
-    cyclically, is invariant under a shift by d.
+def least_period(p: int, remainders: frozenset[int]) -> int:
+    """The least period d of R + p*N, for R a set of residues mod p: the
+    smallest d dividing p with R + d = R (mod p).
 
-    The cyclic periods dividing the length are the multiples of the least
-    one, so dividing each prime out of the length for as long as the
-    quotient is still a period ends there.  Each test compares a prefix
-    of length d, at C speed: O(len(bits)) per distinct prime factor.
+    The periods dividing p are the multiples of the least one, so dividing
+    each prime out of p for as long as the quotient is still a period ends
+    there.  Since the shift is a bijection, R + s is R as soon as it lies
+    within R: O(|R|) lookups per prime factor, counted with multiplicity.
     """
-    d = len(bits)
-    for q in _prime_factors(d):
+    d = p
+    for q in _prime_factors(p):
         while d % q == 0:
             s = d // q
-            if bits[s:d] != bits[: d - s]:
+            if not all((r + s) % p in remainders for r in remainders):
                 break
             d = s
     return d
 
 
-def _with_least_period(rem_bits: bytes, mismatches) -> UpSet:
-    """The canonical form of (R + p*N) xor I given as a residue bit vector
-    and the sorted mismatches: the periodic part only needs its least
-    period, and I is already exactly where the set departs from it."""
-    d = least_period(rem_bits)
-    return UpSet(d, rem_bits[:d], tuple(mismatches))
+def _with_least_period(p: int, remainders: frozenset[int], mismatches) -> UpSet:
+    """The canonical form of (R + p*N) xor I given R as residues mod p and
+    the sorted mismatches: the periodic part only needs its least period,
+    and I is already exactly where the set departs from it."""
+    d = least_period(p, remainders)
+    if d != p:
+        remainders = frozenset(r for r in remainders if r < d)
+    return UpSet(d, remainders, tuple(mismatches))
 
 
 def delta(s: UpSet, a: int, base: int) -> UpSet:
     """The derivative {n : n*base + a in S}, in canonical form.
 
-    It distributes over the mismatch/periodic split: the periodic part has
-    period p / gcd(p, base) with remainders read off by a stride scan, and
-    each mismatch i survives as (i - a) / base exactly when i = a (mod base).
-    Both parts are read off directly, in O(p + |I|), without expanding the
-    preperiod.
+    It distributes over the mismatch/periodic split.  With g = gcd(p, base)
+    the periodic part has period p / g, and each residue r = a (mod g)
+    yields the one n < p / g with n*base + a = r (mod p), namely
+    (r - a)/g times the inverse of base/g modulo p/g (the two are coprime);
+    other residues yield nothing.  Each mismatch i survives as
+    (i - a) / base exactly when i = a (mod base).  So the cost is
+    O(|R| + |I|), and neither p nor the preperiod is ever expanded.
     """
     if base < 2:
         raise BaseTooSmall(f"base {base} < 2")
     if not 0 <= a < base:
         raise BadDigit(f"digit {a} out of range (base {base})")
     p = s.period
-    p2 = p // math.gcd(p, base)
-    rem2 = bytes(s.remainders[(n * base + a) % p] for n in range(p2))
+    g = math.gcd(p, base)
+    p2 = p // g
+    inv = pow(base // g, -1, p2)
+    rem2 = frozenset(
+        (r - a) // g * inv % p2 for r in s.remainders if (r - a) % g == 0
+    )
     mis2 = [(i - a) // base for i in s.mismatches if i % base == a]
-    return _with_least_period(rem2, mis2)
+    return _with_least_period(p2, rem2, mis2)
 
 
 def delta_word(s: UpSet, word: Sequence[int], base: int) -> UpSet:
@@ -241,7 +242,7 @@ def h_p(e: int, a: int, p: int, base: int) -> int:
 
 def build_atomic_explicit(p: int, remainders: Iterable[int], base: int) -> Dfa:
     """Minimal automaton of R + p*N by closing the subset R of Z/pZ under
-    the elementwise lift of h_p, without going through UpSets.
+    the elementwise lift of h_p, without the delta closure over UpSets.
 
     Requires gcd(p, base) = 1 and (p, R) canonical; the closure then stays
     within same-size subsets (each digit acts as a bijection on residues).
@@ -250,18 +251,14 @@ def build_atomic_explicit(p: int, remainders: Iterable[int], base: int) -> Dfa:
         raise BaseTooSmall(f"base {base} < 2")
     if p < 1 or math.gcd(p, base) != 1:
         raise NotCoprime(f"gcd({base}, {p}) != 1")
-    rem = sorted(set(remainders))
-    bits = bytearray(p)
-    for r in rem:
-        if not 0 <= r < p:
-            raise PreconditionViolated(f"remainder {r} out of range [0, {p})")
-        bits[r] = 1
-    d = least_period(bytes(bits))
+    start = UpSet(p, remainders, ()).remainders
+    d = least_period(p, start)
     if d != p:
-        raise NotCanonical(f"(p={p}, R={set(rem)}) is shift-invariant under {d}")
+        raise NotCanonical(
+            f"(p={p}, R={format_list(start)}) is shift-invariant under {d}"
+        )
 
     inv = pow(base, -1, p)
-    start = frozenset(rem)
     index: dict[frozenset[int], int] = {start: 0}
     states = [start]
     flat: list[int] = []
@@ -281,11 +278,12 @@ def build_atomic_explicit(p: int, remainders: Iterable[int], base: int) -> Dfa:
     return Dfa(base, len(states), 0, flat, finals)
 
 
+def format_list(xs: Iterable[int]) -> str:
+    """Sorted and comma-joined, or '-' if empty: the list form of the CLI."""
+    return ",".join(map(str, sorted(xs))) or "-"
+
+
 def format_upset(s: UpSet) -> str:
-    """Text form used by the CLI: p=<int> R=<list> I=<list>, '-' if empty."""
-
-    def lst(xs) -> str:
-        xs = sorted(xs)
-        return ",".join(str(x) for x in xs) if xs else "-"
-
-    return f"p={s.period} R={lst(s.remainder_set)} I={lst(s.mismatches)}"
+    """Text form used by the CLI: p=<int> R=<list> I=<list>."""
+    rem, mis = format_list(s.remainders), format_list(s.mismatches)
+    return f"p={s.period} R={rem} I={mis}"

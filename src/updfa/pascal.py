@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .automaton import Dfa
-from .errors import NotCoprime, NotPascalLike, PreconditionViolated
-from .numeration import _prime_factors
+from .errors import NotCoprime, PreconditionViolated
+from .numeration import _prime_factors, format_list
 
 
 class QuotientFailure(enum.Enum):
@@ -149,7 +149,7 @@ def _g_columns(dfa: Dfa) -> tuple[array, array, array]:
 
 def _analyze(
     gcol: array, pred0: array, flags: bytes, init: int, base: int
-) -> tuple[PascalParams, array, array]:
+) -> tuple[PascalParams, array, array] | QuotientFailure:
     """Step 2: read the candidate parameters off the g- and 0-columns.
 
     p and R come from the g-circuit through the initial state; (h, k) is
@@ -158,8 +158,8 @@ def _analyze(
     Also hands back the g-circuit labelling (position per state, members
     in order) that _matches_quotient reuses.
 
-    Trusts the preconditions (group automaton, zero-stable); raises
-    NotPascalLike when the parameters cannot exist.
+    Trusts the preconditions (group automaton, zero-stable); returns the
+    failed step instead when the parameters cannot exist.
     """
     n = len(gcol)
     pos_on = array("i", (-1,)) * n
@@ -176,10 +176,7 @@ def _analyze(
     p = idx
 
     if math.gcd(p, base) != 1:
-        raise NotPascalLike(
-            f"g-circuit length {p} shares a factor with base {base}",
-            QuotientFailure.PERIOD_NOT_COPRIME,
-        )
+        return QuotientFailure.PERIOD_NOT_COPRIME
     remainders = frozenset(r for r, s in enumerate(circuit) if flags[s])
     psi = multiplicative_order(base, p)
 
@@ -189,10 +186,7 @@ def _analyze(
         h = pos_on[cur]
         if h != -1:
             return PascalParams(p, remainders, psi, h, k), pos_on, circuit
-    raise NotPascalLike(
-        f"no mixed circuit g^h 0^k with k <= psi = {psi}",
-        QuotientFailure.NO_MIXED_CIRCUIT,
-    )
+    return QuotientFailure.NO_MIXED_CIRCUIT
 
 
 def _quotient_columns(p: int, h: int, k: int, base: int) -> tuple[array, array]:
@@ -310,12 +304,10 @@ def is_pascal_quotient(dfa: Dfa) -> QuotientCheck:
         g_a = array("i", map(gcol.__getitem__, g_a))
         if trans[a::b] != array("i", map(zcol.__getitem__, g_a)):
             return QuotientCheck(None, QuotientFailure.SIMPLIFICATION_LOSS)
-    try:
-        params, pos_on, circuit = _analyze(
-            gcol, pred0, dfa._final_bytes, dfa.initial, b
-        )
-    except NotPascalLike as e:
-        return QuotientCheck(None, e.reason)
+    found = _analyze(gcol, pred0, dfa._final_bytes, dfa.initial, b)
+    if isinstance(found, QuotientFailure):
+        return QuotientCheck(None, found)
+    params, pos_on, circuit = found
     # a quotient has exactly p*k states; bailing out now also keeps an
     # adversarial p*k >> n from blowing the linear budget below
     if params.p * params.k != dfa.state_count:
@@ -328,7 +320,7 @@ def is_pascal_quotient(dfa: Dfa) -> QuotientCheck:
 
 def format_params(params: PascalParams) -> str:
     """Text form used by the CLI: p=.. R=.. psi=.. h=.. k=.."""
-    rem = ",".join(str(r) for r in sorted(params.remainders)) or "-"
     return (
-        f"p={params.p} R={rem} psi={params.psi} h={params.h} k={params.k}"
+        f"p={params.p} R={format_list(params.remainders)} psi={params.psi}"
+        f" h={params.h} k={params.k}"
     )

@@ -112,7 +112,8 @@ def language_table(dfa: Dfa, max_len: int) -> list[np.ndarray]:
 def membership_table(s: UpSet, base: int, max_len: int) -> list[np.ndarray]:
     """membership(s, v) for every value v of a word of length L, same layout
     as language_table."""
-    rem = np.frombuffer(s.remainders, dtype=np.uint8).astype(bool)
+    rem = np.zeros(s.period, dtype=bool)
+    rem[list(s.remainders)] = True
     mis = np.array(s.mismatches, dtype=np.int64)
     table = []
     for length in range(max_len + 1):

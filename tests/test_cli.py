@@ -72,7 +72,7 @@ def test_decide_json_schema_on_corpus(tmp_path, capsys, corpus_sample):
         assert doc["ultimately_periodic"] is True
         assert sorted(doc) == ["mismatches", "period", "remainders", "ultimately_periodic"]
         assert doc["period"] == s.period
-        assert doc["remainders"] == sorted(s.remainder_set)
+        assert doc["remainders"] == sorted(s.remainders)
         assert doc["mismatches"] == list(s.mismatches)
 
 
@@ -106,7 +106,7 @@ def test_decide_parse_error_reports_line(tmp_path, capsys):
     assert "line 4" in err
 
 
-def test_decide_base_power_period(tmp_path, capsys):
+def test_decide_base_power_period(tmp_path, capsys, monkeypatch):
     # 2^12 * N: extraction reads the exponent off the 0-chain of transient
     # states, so the period 4096 costs no more than a small one
     dfa = build_minimal_automaton(UpSet.from_parts(2**12, [0]), 2)
@@ -114,6 +114,19 @@ def test_decide_base_power_period(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert (doc["period"], doc["remainders"], doc["mismatches"]) == (4096, [0], [])
+    # gen upset p=2^40 R=0 | decide -: both ends cost what the 42 states
+    # do, not what the period declares
+    code, text, _ = run(capsys, "gen", "upset", f"p={2**40}", "R=0")
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "--json", "decide", "-")
+    assert code == 0
+    assert json.loads(out) == {
+        "ultimately_periodic": True,
+        "period": 2**40,
+        "remainders": [0],
+        "mismatches": [],
+    }
 
 
 def test_decide_rejects_removed_cap_flags(tmp_path):
@@ -130,7 +143,7 @@ def test_gen_upset_decide_round_trip(tmp_path, capsys, corpus_sample):
     for i, s in enumerate(corpus_sample[40:52]):
         base = 2 + i % 2
         path = str(tmp_path / f"g{i}.dfa")
-        rem = ",".join(map(str, sorted(s.remainder_set))) or "-"
+        rem = ",".join(map(str, sorted(s.remainders))) or "-"
         mis = ",".join(map(str, s.mismatches)) or "-"
         code = main(
             ["gen", "upset", f"p={s.period}", f"R={rem}", f"I={mis}",
@@ -143,7 +156,7 @@ def test_gen_upset_decide_round_trip(tmp_path, capsys, corpus_sample):
         doc = json.loads(out)
         assert (doc["period"], doc["remainders"], doc["mismatches"]) == (
             s.period,
-            sorted(s.remainder_set),
+            sorted(s.remainders),
             list(s.mismatches),
         )
 

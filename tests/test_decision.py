@@ -331,18 +331,22 @@ def base_power_dfa(e: int, base: int) -> Dfa:
 
 def test_extract_base_power_period_is_linear():
     # the old candidate search sampled 4 * p * b^e integers per exponent
-    # here, and never returned on 2^20 * N
-    dfa = base_power_dfa(20, 2)
-    assert minimize(dfa).state_count == 22
-    with Budget(1):
-        res = decide(dfa)
-    assert res.params == UpSet(2**20, b"\x01" + bytes(2**20 - 1), ())
+    # and never returned on 2^20 * N; a residue vector of length p would
+    # ask for a terabyte at 2^40
+    for e, base in [(20, 2), (40, 2), (25, 3)]:
+        dfa = base_power_dfa(e, base)
+        assert minimize(dfa).state_count == e + 2
+        with Budget(1):
+            res = decide(dfa)
+            doc = res.to_json_dict()
+        assert res.params == UpSet(base**e, {0}, ())
+        assert doc["remainders"] == [0]
 
 
 def test_extract_large_single_mismatch():
     # {2^40}: a 0-chain of 41 states down to the state of {0}, whose
     # 0-self-loop embeds into the empty sink
-    s = UpSet(1, b"\x00", (2**40,))
+    s = UpSet(1, frozenset(), (2**40,))
     with Budget(1):
         dfa = build_minimal_automaton(s, 2)
         res = decide(dfa)

@@ -113,19 +113,19 @@ upset_parts = st.integers(1, 12).flatmap(
 
 def test_canonicalize_alternating():
     s = UpSet.from_parts(4, [0, 2])
-    assert s == UpSet(period=2, remainders=b"\x01\x00", mismatches=())
+    assert s == UpSet(period=2, remainders={0}, mismatches=())
 
 
 def test_canonicalize_reduces_period_and_collects_mismatches():
     s = UpSet.from_parts(8, [0, 1, 4, 5], [1, 6])
     assert s.period == 4
-    assert s.remainder_set == frozenset({0, 1})
+    assert s.remainders == frozenset({0, 1})
     assert s.mismatches == (1, 6)
 
 
 def test_canonicalize_constant_tail():
     s = UpSet.from_parts(4, range(4), [0])
-    assert s == UpSet(period=1, remainders=b"\x01", mismatches=(0,))
+    assert s == UpSet(period=1, remainders={0}, mismatches=(0,))
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,9 +146,9 @@ def test_canonicalize_output_is_minimal(parts):
     p = s.period
     for d in range(1, p):
         if p % d == 0:
-            assert any(rem[r] != rem[r % d] for r in range(p))
+            assert any((r in rem) != (r % d in rem) for r in range(p))
     for i in s.mismatches:
-        assert membership(s, i) != bool(rem[i % p])
+        assert membership(s, i) != (i % p in rem)
     assert s.preperiod == (max(s.mismatches) + 1 if s.mismatches else 0)
 
 
@@ -156,8 +156,8 @@ def test_canonicalize_output_is_minimal(parts):
 
 
 def test_sentinels():
-    assert EMPTY_SET == UpSet(period=1, remainders=b"\x00", mismatches=())
-    assert ALL_NATURALS == UpSet(period=1, remainders=b"\x01", mismatches=())
+    assert EMPTY_SET == UpSet(period=1, remainders=frozenset(), mismatches=())
+    assert ALL_NATURALS == UpSet(period=1, remainders={0}, mismatches=())
     for n in range(20):
         assert not membership(EMPTY_SET, n)
         assert membership(ALL_NATURALS, n)
@@ -184,11 +184,18 @@ def test_from_parts_keeps_a_huge_mismatch_cheap():
     t0 = time.perf_counter()
     s = UpSet.from_parts(3, [1], [2**40])
     assert time.perf_counter() - t0 < 0.1
-    assert s == UpSet(3, b"\x00\x01\x00", (2**40,))
+    assert s == UpSet(3, {1}, (2**40,))
     assert UpSet.from_parts(6, [1, 4], [2**40]) == s
     # the derivative strips the digit off the mismatch the same way
-    assert delta(s, 0, 2) == UpSet(3, b"\x00\x00\x01", (2**39,))
-    assert delta(s, 1, 2) == UpSet(3, b"\x01\x00\x00", ())
+    assert delta(s, 0, 2) == UpSet(3, {2}, (2**39,))
+    assert delta(s, 1, 2) == UpSet(3, {0}, ())
+    # a huge period costs what its residues do, and so does its derivative
+    t0 = time.perf_counter()
+    big = UpSet.from_parts(2**40, [0])
+    assert big == UpSet(2**40, {0}, ())
+    assert delta(big, 0, 2) == UpSet(2**39, {0}, ())
+    assert delta(big, 1, 2) == EMPTY_SET
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_from_parts_validation():
@@ -203,13 +210,13 @@ def test_from_parts_validation():
 def test_upset_shape_validation():
     # the raw constructor checks shape; canonicality is from_parts' job
     with pytest.raises(PreconditionViolated):
-        UpSet(period=2, remainders=b"\x01", mismatches=())
+        UpSet(period=2, remainders={2}, mismatches=())
     with pytest.raises(PreconditionViolated):
-        UpSet(period=1, remainders=b"\x02", mismatches=())
+        UpSet(period=1, remainders={-1}, mismatches=())
     with pytest.raises(PreconditionViolated):
-        UpSet(period=2, remainders=b"\x01\x00", mismatches=(3, 3))
+        UpSet(period=2, remainders={0}, mismatches=(3, 3))
     with pytest.raises(PreconditionViolated):
-        UpSet(period=2, remainders=b"\x01\x00", mismatches=(-1, 2))
+        UpSet(period=2, remainders={0}, mismatches=(-1, 2))
 
 
 def test_membership_matches_profile():
@@ -248,8 +255,9 @@ def test_delta_validates_digit():
 
 
 def test_delta_law_on_corpus(corpus_sample):
+    # composite bases make gcd(p, base) range beyond {1, 2, 3}
     for s in corpus_sample:
-        for base in (2, 3):
+        for base in (2, 3, 4, 6, 10):
             for a in range(base):
                 d = delta(s, a, base)
                 for n in range(60):
