@@ -44,7 +44,6 @@ from .numeration import (
     ALL_NATURALS,
     EMPTY_SET,
     UpSet,
-    build_atomic_explicit,
     build_minimal_automaton,
     delta,
     delta_word,
@@ -89,7 +88,6 @@ __all__ = [
     "UpSet",
     "UpdfaError",
     "accepts",
-    "build_atomic_explicit",
     "build_embedding",
     "build_minimal_automaton",
     "build_pascal",

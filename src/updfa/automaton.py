@@ -524,39 +524,33 @@ def condensation(dfa: Dfa) -> Condensation:
     scc_of = tuple(map((2 * n - 1).__sub__, rindex))
 
     k = len(scc_members)
-    if k == 1 and dfa.is_complete:
-        # every transition is internal and base >= 2 guarantees an internal
-        # positive-digit one, so the single scc is always of the first kind
-        types = [SccType.TYPE_ONE]
-        desc: list[set[int]] = [set()]
-    else:
-        has_zero = bytearray(k)
-        has_positive = bytearray(k)
-        desc = [set() for _ in range(k)]
-        for s in range(n):
-            c = scc_of[s]
-            row = s * b
-            for a in range(b):
-                t = trans[row + a]
-                if t == MISSING:
-                    continue
-                c2 = scc_of[t]
-                if c2 == c:
-                    if a == 0:
-                        has_zero[c] = 1
-                    else:
-                        has_positive[c] = 1
+    has_zero = bytearray(k)
+    has_positive = bytearray(k)
+    desc: list[set[int]] = [set() for _ in range(k)]
+    for s in range(n):
+        c = scc_of[s]
+        row = s * b
+        for a in range(b):
+            t = trans[row + a]
+            if t == MISSING:
+                continue
+            c2 = scc_of[t]
+            if c2 == c:
+                if a == 0:
+                    has_zero[c] = 1
                 else:
-                    desc[c].add(c2)
-
-        types = []
-        for c in range(k):
-            if has_positive[c]:
-                types.append(SccType.TYPE_ONE)
-            elif has_zero[c]:
-                types.append(SccType.TYPE_TWO)
+                    has_positive[c] = 1
             else:
-                types.append(SccType.TRIVIAL)
+                desc[c].add(c2)
+
+    types = []
+    for c in range(k):
+        if has_positive[c]:
+            types.append(SccType.TYPE_ONE)
+        elif has_zero[c]:
+            types.append(SccType.TYPE_TWO)
+        else:
+            types.append(SccType.TRIVIAL)
 
     return Condensation(
         scc_of=scc_of,

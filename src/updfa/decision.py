@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 from .automaton import Condensation, Dfa, SccType, condensation, minimize
 from .errors import PreconditionViolated
 from .numeration import UpSet, _with_least_period
-from .pascal import PascalParams, is_pascal_quotient
+from .pascal import PascalParams, accepted_residues, is_pascal_quotient
 
 # decide calls none of these; they stay bound here because the benchmark's
 # tracer (bench/spans.py) wraps the layers of a decision by their names in
@@ -99,12 +99,7 @@ def _scc_sub_dfa(
     """The automaton restricted to a closed scc, rooted at its lowest
     member, and the global id of each of its states; None in place of
     the automaton if some transition leaves the scc."""
-    n, b = dfa.state_count, dfa.base
-    if len(members) == n:
-        # whole automaton; re-rooting at 0 is immaterial for group automata
-        if dfa.initial == 0:
-            return dfa, range(n)
-        return Dfa(b, n, 0, dfa.transitions, dfa.finals), range(n)
+    b = dfa.base
     ordered = sorted(members)
     local = {s: i for i, s in enumerate(ordered)}
     trans = dfa.transitions
@@ -263,16 +258,6 @@ def extract_parameters(dfa: Dfa) -> UpSet:
     return _read_parameters(dfa, verified)
 
 
-def _accepted_residues(params: PascalParams, label: int, base: int) -> frozenset:
-    """The residues mod p of the set of the quotient state with the given
-    label (s, t): m is in it iff (s + m*base^t) mod p is in R, that is,
-    iff m = (r - s) * base^-t (mod p) for some r in R."""
-    p = params.p
-    s, t = divmod(label, params.k)
-    step = pow(base, -t, p)
-    return frozenset((r - s) * step % p for r in params.remainders)
-
-
 def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
     """The canonical (p, R, I) of a passing automaton, from the facts in
     `verified` alone: no integer is sampled and nothing is rebuilt.
@@ -305,7 +290,7 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
     p_c = math.lcm(*(found.params.p for found in atomic.values()))
     if cond is None:
         (whole,) = atomic.values()
-        rem = _accepted_residues(whole.params, whole.labels[init], b)
+        rem = accepted_residues(whole.params, whole.labels[init], b)
         return _with_least_period(p_c, rem, [])
 
     n = dfa.state_count
@@ -365,7 +350,7 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
             continue
         params = atomic[cond.scc_of[z]].params
         stride = params.p * weight
-        for m in _accepted_residues(params, label[z], b):
+        for m in accepted_residues(params, label[z], b):
             rem.update(range(v + m * weight, p, stride))
 
     # only words that end in a positive digit (or the empty word) are

@@ -25,7 +25,6 @@ from .automaton import Dfa
 from .errors import (
     BadDigit,
     BaseTooSmall,
-    NotCanonical,
     NotCoprime,
     PreconditionViolated,
     StateLimitExceeded,
@@ -144,11 +143,16 @@ def least_period(p: int, remainders: frozenset[int]) -> int:
 
     The periods dividing p are the multiples of the least one, so dividing
     each prime out of p for as long as the quotient is still a period ends
-    there.  Since the shift is a bijection, R + s is R as soon as it lies
-    within R: O(|R|) lookups per prime factor, counted with multiplicity.
+    there.  R is a union of cosets of d, each of p/d residues, so p/d
+    divides |R| too: only the primes of gcd(p, |R|) need trying, and
+    factoring that costs O(sqrt|R|), however large p is.  Since the shift
+    is a bijection, R + s is R as soon as it lies within R: O(|R|) lookups
+    per prime factor, counted with multiplicity.
     """
+    if not remainders:
+        return 1
     d = p
-    for q in _prime_factors(p):
+    for q in _prime_factors(math.gcd(p, len(remainders))):
         while d % q == 0:
             s = d // q
             if not all((r + s) % p in remainders for r in remainders):
@@ -238,44 +242,6 @@ def h_p(e: int, a: int, p: int, base: int) -> int:
     if p < 1 or math.gcd(p, base) != 1:
         raise NotCoprime(f"gcd({base}, {p}) != 1")
     return ((e - a) * pow(base, -1, p)) % p
-
-
-def build_atomic_explicit(p: int, remainders: Iterable[int], base: int) -> Dfa:
-    """Minimal automaton of R + p*N by closing the subset R of Z/pZ under
-    the elementwise lift of h_p, without the delta closure over UpSets.
-
-    Requires gcd(p, base) = 1 and (p, R) canonical; the closure then stays
-    within same-size subsets (each digit acts as a bijection on residues).
-    """
-    if base < 2:
-        raise BaseTooSmall(f"base {base} < 2")
-    if p < 1 or math.gcd(p, base) != 1:
-        raise NotCoprime(f"gcd({base}, {p}) != 1")
-    start = UpSet(p, remainders, ()).remainders
-    d = least_period(p, start)
-    if d != p:
-        raise NotCanonical(
-            f"(p={p}, R={format_list(start)}) is shift-invariant under {d}"
-        )
-
-    inv = pow(base, -1, p)
-    index: dict[frozenset[int], int] = {start: 0}
-    states = [start]
-    flat: list[int] = []
-    qi = 0
-    while qi < len(states):
-        cur = states[qi]
-        qi += 1
-        for a in range(base):
-            t = frozenset(((e - a) * inv) % p for e in cur)
-            j = index.get(t)
-            if j is None:
-                j = len(states)
-                index[t] = j
-                states.append(t)
-            flat.append(j)
-    finals = frozenset(i for i, t in enumerate(states) if 0 in t)
-    return Dfa(base, len(states), 0, flat, finals)
 
 
 def format_list(xs: Iterable[int]) -> str:

@@ -88,6 +88,16 @@ class QuotientCheck:
         return self.params is not None
 
 
+def accepted_residues(params: PascalParams, label: int, base: int) -> frozenset:
+    """The residues mod p of the set of the quotient state with the given
+    label s*k + t: m is in it iff (s + m*base^t) mod p is in R, that is,
+    iff m = (r - s) * base^-t (mod p) for some r in R."""
+    p = params.p
+    s, t = divmod(label, params.k)
+    step = pow(base, -t, p)
+    return frozenset((r - s) * step % p for r in params.remainders)
+
+
 def multiplicative_order(base: int, p: int) -> int:
     """Smallest t >= 1 with base^t = 1 (mod p); 1 for p = 1.
 
@@ -189,31 +199,6 @@ def _analyze(
     return QuotientFailure.NO_MIXED_CIRCUIT
 
 
-def _quotient_columns(p: int, h: int, k: int, base: int) -> tuple[array, array]:
-    """Per-letter successor columns of A_{(h,k)}, indexed by id s*k + t.
-
-    For fixed t the ids s*k + t form an arithmetic sequence in s, so whole
-    stripes come out of range objects at C speed; only the row-wrap stripe
-    needs per-state arithmetic.
-    """
-    inv_k = pow(pow(base, -1, p), k, p)
-    powers = [1] * k
-    for t in range(1, k):
-        powers[t] = powers[t - 1] * base % p
-    a0 = array("i", (0,)) * (p * k)
-    ag = array("i", (0,)) * (p * k)
-    for t in range(k):
-        if t < k - 1:
-            a0[t::k] = array("i", range(t + 1, p * k, k))
-        else:
-            a0[t::k] = array("i", [(s - h) * inv_k % p * k for s in range(p)])
-        pw = powers[t]
-        stripe = array("i", range(pw * k + t, p * k, k))
-        stripe.extend(range(t, pw * k + t, k))
-        ag[t::k] = stripe
-    return a0, ag
-
-
 def build_quotient(params: PascalParams, base: int) -> Dfa:
     """The quotient automaton A_{(h,k)} on Z/pZ x Z/kZ (two letters 0, g).
 
@@ -223,10 +208,18 @@ def build_quotient(params: PascalParams, base: int) -> Dfa:
     p, h, k = params.p, params.h, params.k
     if math.gcd(p, base) != 1:
         raise NotCoprime(f"gcd({base}, {p}) != 1")
-    a0, ag = _quotient_columns(p, h, k, base)
-    flat = a0 + a0  # right size; both stripes overwritten below
-    flat[0::2] = a0
-    flat[1::2] = ag
+    inv_k = pow(pow(base, -1, p), k, p)
+    powers = [1] * k
+    for t in range(1, k):
+        powers[t] = powers[t - 1] * base % p
+    flat = []
+    for s in range(p):
+        for t in range(k):
+            if t < k - 1:
+                flat.append(s * k + t + 1)
+            else:
+                flat.append((s - h) * inv_k % p * k)
+            flat.append((s + powers[t]) % p * k + t)
     finals = frozenset(s * k + t for s in params.remainders for t in range(k))
     return Dfa(2, p * k, 0, flat, finals)
 

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import random
+import runpy
 import subprocess
 import sys
 from array import array
+from pathlib import Path
 
 import pytest
 
 import updfa.automaton
+import updfa.cli
 import updfa.decision
 import updfa.numeration
 from updfa import (
@@ -288,6 +291,18 @@ def test_up4_scaling_many_circuits_into_one_scc():
     for smaller, larger in zip(medians, medians[1:]):
         ratio = larger / smaller
         assert ratio <= 6, f"4x-size ratio {ratio:.2f} exceeds 6 ({medians} ns)"
+
+
+def test_benchmark_layer_names_stay_bound():
+    # bench/spans.py traces a decision by rebinding these names in
+    # updfa.decision and updfa.cli, whether or not the package calls them
+    spans = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "spans.py"))
+    for module, names in (
+        (updfa.decision, spans["DECISION_LAYERS"] + spans["COUNTED"]),
+        (updfa.cli, spans["CLI_LAYERS"]),
+    ):
+        for name in names:
+            assert callable(getattr(module, name, None)), (module.__name__, name)
 
 
 def test_check_conditions_requires_complete():

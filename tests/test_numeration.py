@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -15,14 +17,12 @@ from updfa import (
     EMPTY_SET,
     UpSet,
     accepts,
-    build_atomic_explicit,
     build_minimal_automaton,
     check_zero_stability,
     delta,
     delta_word,
     format_upset,
     h_p,
-    is_group_automaton,
     isomorphic,
     membership,
     minimize,
@@ -32,7 +32,6 @@ from updfa import (
 from updfa.errors import (
     BadDigit,
     BaseTooSmall,
-    NotCanonical,
     NotCoprime,
     PreconditionViolated,
     StateLimitExceeded,
@@ -198,6 +197,30 @@ def test_from_parts_keeps_a_huge_mismatch_cheap():
     assert time.perf_counter() - t0 < 0.1
 
 
+HUGE_PRIME_PERIOD = """
+from updfa import UpSet, delta
+p = 2**61 - 1
+s = UpSet.from_parts(p, [0])
+assert s == UpSet(p, {0}, ())
+assert delta(s, 0, 2) == s
+assert delta(s, 1, 2) == UpSet(p, {2**60 - 1}, ())
+"""
+
+
+def test_from_parts_factors_no_more_than_the_residues_need():
+    # the least period is found by the primes of gcd(p, |R|), never by
+    # factoring p, so a 61-bit prime period costs what {0} does; trial
+    # division of p would not finish, hence a fresh interpreter and a
+    # timeout
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_PRIME_PERIOD],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_from_parts_validation():
     with pytest.raises(PreconditionViolated):
         UpSet.from_parts(0, [])
@@ -359,29 +382,3 @@ def test_h_p_is_the_predecessor_map():
 def test_h_p_requires_coprimality():
     with pytest.raises(NotCoprime):
         h_p(0, 0, 4, 2)
-
-
-# ---------------------------------------------------------------- atomic build
-
-
-def test_atomic_explicit_matches_delta_construction():
-    cases = [(5, [0, 3], 2), (5, [0, 1, 2, 4], 2), (7, [6], 2), (5, [0, 3], 3), (1, [0], 2)]
-    for p, rem, base in cases:
-        a = build_atomic_explicit(p, rem, base)
-        b = build_minimal_automaton(UpSet.from_parts(p, rem), base)
-        assert a.state_count == b.state_count
-        assert isomorphic(a, b)
-        assert is_group_automaton(a)
-
-
-def test_atomic_explicit_rejects_shift_invariant_remainders():
-    # {0,2}+4N has true period 2, so (4, {0,2}) is not canonical
-    with pytest.raises(NotCanonical):
-        build_atomic_explicit(4, [0, 2], 3)
-    with pytest.raises(NotCanonical):
-        build_atomic_explicit(3, [], 2)  # empty set has period 1
-
-
-def test_atomic_explicit_requires_coprimality():
-    with pytest.raises(NotCoprime):
-        build_atomic_explicit(6, [1], 2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -11,8 +12,9 @@ from updfa import (
     Dfa,
     PascalParams,
     QuotientFailure,
+    UpSet,
     accepts,
-    build_atomic_explicit,
+    build_minimal_automaton,
     build_pascal,
     build_quotient,
     check_zero_stability,
@@ -279,6 +281,35 @@ def test_quotient_with_full_k_is_simplified_pascal():
         assert isomorphic(build_quotient(trivial, base), simplified)
 
 
+def test_quotient_agrees_with_the_labels():
+    # the labelling is_pascal_quotient returns is an isomorphism onto the
+    # automaton build_quotient builds: 0-edges, g-edges and finality, on
+    # two random sets per coprime p < 30 (21 of the 142 quotients have
+    # h != 0, so the wrap edge is exercised off the identity)
+    rng = random.Random(20261019)
+    wraps = 0
+    for base in (2, 3, 5, 10):
+        for p in range(1, 30):
+            if math.gcd(p, base) != 1:
+                continue
+            for _ in range(2):
+                rem = [r for r in range(p) if rng.random() < 0.5]
+                dfa = minimize(build_pascal(p, rem, base))
+                check = is_pascal_quotient(dfa)
+                assert check.accepted, (p, rem, base)
+                q = build_quotient(check.params, base)
+                wraps += check.params.h != 0
+                zcol, gcol, _ = _g_columns(dfa)
+                lab = check.labels
+                assert sorted(lab) == list(range(q.state_count))
+                assert lab[dfa.initial] == q.initial
+                for x in range(dfa.state_count):
+                    assert q.step(lab[x], 0) == lab[zcol[x]], (p, rem, base, x)
+                    assert q.step(lab[x], 1) == lab[gcol[x]], (p, rem, base, x)
+                    assert (lab[x] in q.finals) == (x in dfa.finals)
+    assert wraps > 0
+
+
 def test_quotient_params_validation():
     with pytest.raises(PreconditionViolated):
         PascalParams(5, frozenset({5}), 4, 0, 1)
@@ -315,7 +346,7 @@ def test_minimized_pascal_collapses_to_arithmetic():
 
 def test_atomic_automata_are_quotients():
     for p, rem, base in [(5, [0, 1, 2, 4], 2), (5, [0, 3], 3), (9, [2, 4], 2), (1, [0], 2)]:
-        dfa = build_atomic_explicit(p, rem, base)
+        dfa = build_minimal_automaton(UpSet.from_parts(p, rem), base)
         check = is_pascal_quotient(dfa)
         assert check.accepted
         assert check.params.p == p
