@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import enum
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, repeat
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -566,90 +567,195 @@ def parse_dfa(text: str) -> Dfa:
     Directives: ``base b``, ``states n``, ``initial q``, ``final q...``
     (at most once, possibly empty), ``trans q digit q'`` (no duplicates for
     one (q, digit)).  '#' starts a comment; base and states must come before
-    the other directives.
+    the other directives, and states may not exceed the length of the text
+    (states that never appear in it are unreachable padding).
+
+    When every line from the first ``trans`` line on is a plain ``trans``
+    line (ASCII, four tokens, no comment, only ``\\n`` breaks), that block
+    is converted in bulk, a chunk at a time.  Any other text, and any block
+    in which a check fails, is read line by line, so every FormatError
+    comes from the line reader, with its line number.
     """
+    start = text.find("\ntrans ") + 1
+    if start:
+        head = _read_lines(text[:start], len(text))
+        if head.initial is not None and _read_trans_block(text, start, head):
+            return head.dfa()
+    return _read_lines(text, len(text)).dfa()
+
+
+@dataclass
+class _Parsed:
+    """The directives the line reader has met so far."""
+
     base: int | None = None
     states: int | None = None
     initial: int | None = None
     finals: list[int] | None = None
     table: array | None = None
 
-    def ints(parts: list[str], lineno: int) -> list[int]:
-        out = []
-        for p in parts:
-            try:
-                out.append(int(p))
-            except ValueError:
-                raise FormatError(f"expected an integer, got {p!r}", lineno) from None
-        return out
+    def dfa(self) -> Dfa:
+        if self.base is None or self.states is None:
+            raise FormatError("missing base or states directive")
+        if self.initial is None:
+            raise FormatError("missing initial directive")
+        # an initial directive was read, so the table exists
+        finals = frozenset(self.finals or ())
+        return Dfa(self.base, self.states, self.initial, self.table, finals)
 
+
+def _ints(parts: list[str], lineno: int) -> list[int]:
+    out: list[int] = []
+    try:
+        out.extend(map(int, parts))
+    except ValueError:
+        # extend keeps what it converted, so the offender comes next
+        bad = parts[len(out)]
+        raise FormatError(f"expected an integer, got {bad!r}", lineno) from None
+    return out
+
+
+def _format_arity(kw: str, want: int, lineno: int):
+    raise FormatError(f"directive {kw!r} takes exactly {want} argument(s)", lineno)
+
+
+def _read_lines(text: str, size: int) -> _Parsed:
+    """Read `text` line by line; `size` is the length of the whole input."""
+    got = _Parsed()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         kw, *rest = line.split()
         if kw == "base":
-            if base is not None:
+            if got.base is not None:
                 raise FormatError("duplicate base directive", lineno)
             if len(rest) != 1:
                 _format_arity(kw, 1, lineno)
-            (base,) = ints(rest, lineno)
-            if base < 2:
-                raise FormatError(f"base {base} < 2", lineno)
+            (got.base,) = _ints(rest, lineno)
+            if got.base < 2:
+                raise FormatError(f"base {got.base} < 2", lineno)
             continue
         if kw == "states":
-            if states is not None:
+            if got.states is not None:
                 raise FormatError("duplicate states directive", lineno)
             if len(rest) != 1:
                 _format_arity(kw, 1, lineno)
-            (states,) = ints(rest, lineno)
-            if states < 1:
+            (got.states,) = _ints(rest, lineno)
+            if got.states < 1:
                 raise FormatError("states must be >= 1", lineno)
+            if got.states > size:
+                raise FormatError(
+                    f"states {got.states} exceeds the input length ({size} characters)",
+                    lineno,
+                )
             continue
+        base, states = got.base, got.states
         if base is None or states is None:
             raise FormatError("base and states must come first", lineno)
-        if table is None:
-            table = array("i", (MISSING,)) * (states * base)
+        if got.table is None:
+            got.table = array("i", (MISSING,)) * (states * base)
         if kw == "initial":
-            if initial is not None:
+            if got.initial is not None:
                 raise FormatError("duplicate initial directive", lineno)
             if len(rest) != 1:
                 _format_arity(kw, 1, lineno)
-            (initial,) = ints(rest, lineno)
-            if not 0 <= initial < states:
-                raise FormatError(f"initial state {initial} out of range", lineno)
+            (got.initial,) = _ints(rest, lineno)
+            if not 0 <= got.initial < states:
+                raise FormatError(f"initial state {got.initial} out of range", lineno)
         elif kw == "final":
-            if finals is not None:
+            if got.finals is not None:
                 raise FormatError("duplicate final directive", lineno)
-            finals = ints(rest, lineno)
-            for q in finals:
-                if not 0 <= q < states:
-                    raise FormatError(f"final state {q} out of range", lineno)
+            got.finals = finals = _ints(rest, lineno)
+            if finals and (min(finals) < 0 or max(finals) >= states):
+                q = next(q for q in finals if not 0 <= q < states)
+                raise FormatError(f"final state {q} out of range", lineno)
         elif kw == "trans":
             if len(rest) != 3:
                 _format_arity(kw, 3, lineno)
-            q, a, q2 = ints(rest, lineno)
+            q, a, q2 = _ints(rest, lineno)
             if not 0 <= a < base:
                 raise FormatError(f"digit {a} out of range (base {base})", lineno)
             if not 0 <= q < states or not 0 <= q2 < states:
                 raise FormatError(f"state id out of range in trans {q} {a} {q2}", lineno)
             i = q * base + a
-            if table[i] != MISSING:
+            if got.table[i] != MISSING:
                 raise FormatError(f"duplicate transition for state {q} digit {a}", lineno)
-            table[i] = q2
+            got.table[i] = q2
         else:
             raise FormatError(f"unknown directive {kw!r}", lineno)
-
-    if base is None or states is None:
-        raise FormatError("missing base or states directive")
-    if initial is None:
-        raise FormatError("missing initial directive")
-    # an initial directive was read, so the table exists
-    return Dfa(base, states, initial, table, frozenset(finals or ()))
+    return got
 
 
-def _format_arity(kw: str, want: int, lineno: int):
-    raise FormatError(f"directive {kw!r} takes exactly {want} argument(s)", lineno)
+# characters per bulk chunk; its tokens take about 12 bytes per character
+_CHUNK = 1 << 18
+
+
+def _read_trans_block(text: str, start: int, got: _Parsed) -> bool:
+    """Store the trans lines of text[start:] into `got.table` in bulk.
+
+    Returns False, with the table partly written, as soon as the block is
+    not made of plain ``trans q a q'`` lines or a line in it is wrong; the
+    caller then reads the whole text line by line.
+    """
+    # each \n ends a line and each line starts with "trans "; no other line
+    # break, and no minus sign, so every integer is >= 0
+    if not text.isascii() or any(text.find(c, start) >= 0 for c in "-\r\v\f\x1c\x1d\x1e"):
+        return False
+    lines_left = text.count("\ntrans ", start - 1)
+    if lines_left != text.count("\n", start - 1) - text.endswith("\n"):
+        return False
+    b, n, table = got.base, got.states, got.table
+    digits = list(map(str, range(b)))
+    pos = start
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK) + 1 or len(text)
+        toks = text[pos:end].split()
+        pos = end
+        # "trans" is no integer and starts every line, so once the other
+        # three columns convert, a chunk of 4k tokens has at most k lines;
+        # the block having as many lines as the chunks have k's then makes
+        # every line four tokens long, with no room for a comment
+        lines, rest = divmod(len(toks), 4)
+        lines_left -= lines
+        if rest:
+            return False
+        try:
+            first = int(toks[1]) * b + int(toks[2])
+            # array() fills faster from a list than from an iterator
+            targets = array("i", list(map(int, toks[3::4])))
+        except (ValueError, OverflowError):
+            return False
+        if max(targets) >= n:
+            return False
+        # in table order the (q, a) columns hold the numerals of the indices
+        # first, first + 1, ...: compare them as strings, then store the
+        # targets as one slice, into entries still missing (a slice past
+        # the table's end is short, and fails that test too)
+        q0, a0 = divmod(first, b)
+        q1 = (first + lines - 1) // b + 1
+        if toks[2::4] == (digits * (q1 - q0))[a0 : a0 + lines]:
+            numerals = list(map(str, range(q0, q1)))
+            names = [""] * (b * len(numerals))
+            for a in range(b):
+                names[a::b] = numerals
+            if toks[1::4] == names[a0 : a0 + lines]:
+                if table[first : first + lines] != array("i", (MISSING,)) * lines:
+                    return False
+                table[first : first + lines] = targets
+                continue
+        try:
+            qs = list(map(int, toks[1::4]))
+            ds = list(map(int, toks[2::4]))
+        except ValueError:
+            return False
+        if max(ds) >= b or max(qs) >= n:
+            return False
+        index = list(map(add, map(mul, qs, repeat(b)), ds))
+        if len(set(index)) != lines or max(map(table.__getitem__, index)) != MISSING:
+            return False
+        deque(map(table.__setitem__, index, targets), 0)
+    return lines_left == 0
 
 
 def write_dfa(dfa: Dfa) -> str:

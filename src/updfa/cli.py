@@ -2,18 +2,21 @@
 
 Subcommands: decide, gen, info, minimize, bench.  Exit codes: 0 success
 (decide: ultimately periodic), 1 decide found the set not ultimately
-periodic, 2 input or validation error.
+periodic, 2 input or validation error, or out of memory, 3 an unexpected
+internal error (its traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import math
 import statistics
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .automaton import Dfa, condensation, minimize, parse_dfa, write_dfa
@@ -69,25 +72,41 @@ def _require(kv: dict[str, str], key: str) -> str:
     return kv[key]
 
 
+@contextlib.contextmanager
+def _long_int_output():
+    """Lift CPython's 4,300-digit limit on int <-> str conversion (Python
+    >= 3.11) inside the block, since a period can be longer.  Input keeps
+    the limit: reading a numeral of n digits takes O(n^2) time."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def cmd_decide(args) -> int:
     dfa = parse_dfa(_read_text(args.path))
     result = decide(dfa)
-    if args.json:
-        print(json.dumps(result.to_json_dict()))
-    elif result.ultimately_periodic:
-        s = result.params
-        print("ultimately periodic")
-        print(
-            f"period={s.period} remainders={format_list(s.remainders)}"
-            f" mismatches={format_list(s.mismatches)}"
-        )
-    else:
-        f = result.failure
-        print("not ultimately periodic")
-        line = f"failed_condition={f.condition} witness={f.witness}"
-        if f.diagnostic is not None:
-            line += f" diagnostic={f.diagnostic}"
-        print(line)
+    with _long_int_output():
+        if args.json:
+            print(json.dumps(result.to_json_dict()))
+        elif result.ultimately_periodic:
+            s = result.params
+            print("ultimately periodic")
+            print(
+                f"period={s.period} remainders={format_list(s.remainders)}"
+                f" mismatches={format_list(s.mismatches)}"
+            )
+        else:
+            f = result.failure
+            print("not ultimately periodic")
+            line = f"failed_condition={f.condition} witness={f.witness}"
+            if f.diagnostic is not None:
+                line += f" diagnostic={f.diagnostic}"
+            print(line)
     return 0 if result.ultimately_periodic else 1
 
 
@@ -267,12 +286,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UpdfaError as e:
+    except (UpdfaError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
+    except Exception:
+        # exit 1 is a verdict, so a fault of this program must not use it
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -389,6 +391,195 @@ def test_parse_allows_partial_and_empty_finals():
 @given(dfas())
 def test_write_parse_round_trip(d):
     assert parse_dfa(write_dfa(d)) == d
+
+
+# the line-by-line reader is the reference: on any text, parse_dfa returns
+# what it returns, or raises the FormatError it raises, at the same line
+def _line_parse(text):
+    return automaton._read_lines(text, len(text)).dfa()
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FormatError as e:
+        return str(e), e.line
+
+
+def _trans_rows(lines):
+    return [i for i, line in enumerate(lines) if line.startswith("trans ")]
+
+
+def _retoken(line, k, edit):
+    toks = line.split(" ")
+    if k < len(toks):
+        toks[k] = edit(toks[k])
+    return " ".join(toks)
+
+
+def _mutate(text, kind, rng, d):
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    rows = _trans_rows(lines)
+    others = sorted(set(range(len(lines))) - set(rows))
+    if rows and kind == "shuffle":
+        block = [lines[i] for i in rows]
+        rng.shuffle(block)
+        for i, line in zip(rows, block):
+            lines[i] = line
+    elif rows and kind == "partial":
+        drop = set(rng.sample(rows, rng.randrange(1, len(rows) + 1)))
+        lines = [line for i, line in enumerate(lines) if i not in drop]
+    elif lines and kind == "comment":
+        i = rng.randrange(len(lines))
+        lines[i] += rng.choice([" # note", "#"])
+    elif kind == "comment line":
+        lines.insert(rng.randrange(len(lines) + 1), "# note")
+    elif kind == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    elif lines and kind == "tab":
+        i = rng.randrange(len(lines))
+        lines[i] = lines[i].replace(" ", "\t", 1)
+    elif kind == "no final newline":
+        return "\n".join(lines)
+    elif rows and kind == "leading zeros":
+        i = rng.choice(rows)
+        lines[i] = _retoken(lines[i], rng.randrange(1, 4), lambda t: "00" + t)
+    elif rows and kind == "plus sign":
+        i = rng.choice(rows)
+        lines[i] = _retoken(lines[i], rng.randrange(1, 4), lambda t: "+" + t)
+    elif rows and kind == "duplicate":
+        i = rng.choice(rows)
+        lines.insert(rng.randrange(rows[0], len(lines) + 1), lines[i])
+    elif rows and kind == "digit >= base":
+        i = rng.choice(rows)
+        lines[i] = _retoken(lines[i], 2, lambda t: str(d.base + rng.randrange(2)))
+    elif rows and kind == "id out of range":
+        i = rng.choice(rows)
+        bad = rng.choice([d.state_count, d.state_count + 7, 2**40])
+        lines[i] = _retoken(lines[i], rng.choice([1, 3]), lambda t: str(bad))
+    elif rows and kind == "minus sign":
+        i = rng.choice(rows)
+        lines[i] = _retoken(lines[i], rng.randrange(1, 4), lambda t: "-" + t)
+    elif len(rows) > 1 and kind == "5 and 3 tokens":
+        # one token moves from a line to the line before it
+        k = rng.randrange(1, len(rows))
+        head, _, last = lines[rows[k]].rpartition(" ")
+        lines[rows[k - 1]] += " " + last
+        lines[rows[k]] = head
+    elif others and kind == "header line dropped":
+        lines.pop(rng.choice(others))
+    elif others and kind == "directive after block":
+        lines.append(lines.pop(rng.choice(others)))
+    elif kind == "blank line":
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  "]))
+    elif lines and kind == "break inside a line":
+        i = rng.randrange(len(lines))
+        k = rng.choice([k for k, c in enumerate(lines[i]) if c == " "] or [0])
+        brk = rng.choice("\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+        lines[i] = lines[i][:k] + brk + lines[i][k + 1 :]
+    elif len(rows) > 1 and kind == "two lines on one":
+        k = rng.randrange(1, len(rows))
+        lines[rows[k - 1]] += " " + lines.pop(rows[k])
+    return "\n".join(lines) + "\n"
+
+
+MUTATIONS = (
+    "none",
+    "shuffle",
+    "partial",
+    "comment",
+    "comment line",
+    "crlf",
+    "tab",
+    "no final newline",
+    "leading zeros",
+    "plus sign",
+    "duplicate",
+    "digit >= base",
+    "id out of range",
+    "minus sign",
+    "5 and 3 tokens",
+    "directive after block",
+    "header line dropped",
+    "blank line",
+    "break inside a line",
+    "two lines on one",
+)
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+@settings(max_examples=60, deadline=None)
+@given(
+    d=dfas(max_states=12),
+    more=st.lists(st.sampled_from(MUTATIONS), max_size=2),
+    chunk=st.sampled_from([1, 9, 40, automaton._CHUNK]),
+    rng=st.randoms(use_true_random=True),
+)
+def test_bulk_parse_matches_line_reader(kind, d, more, chunk, rng):
+    # small chunks cut the trans block at many places, so chunks start at
+    # every (state, digit) offset
+    text = write_dfa(d)
+    for k in (kind, *more):
+        text = _mutate(text, k, rng, d)
+    with mock.patch.object(automaton, "_CHUNK", chunk):
+        got = _outcome(parse_dfa, text)
+    assert got == _outcome(_line_parse, text)
+    if text == write_dfa(d):
+        assert got == d
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("base 2 3\n", "directive 'base' takes exactly 1 argument(s)", 1),
+        ("base 2\nbase 2\n", "duplicate base directive", 2),
+        ("base 1\n", "base 1 < 2", 1),
+        ("base two\n", "expected an integer, got 'two'", 1),
+        ("base 2\nstates\n", "directive 'states' takes exactly 1 argument(s)", 2),
+        ("base 2\nstates 1\nstates 1\n", "duplicate states directive", 3),
+        ("base 2\nstates 0\n", "states must be >= 1", 2),
+        ("base 2\nstates 1\ninitial\n", "directive 'initial' takes exactly 1 argument(s)", 3),
+        ("base 2\nstates 1\ninitial 0\ninitial 0\n", "duplicate initial directive", 4),
+        ("base 2\nstates 2\ninitial 2\n", "initial state 2 out of range", 3),
+        ("base 2\nstates 2\ninitial -1\n", "initial state -1 out of range", 3),
+        ("base 2\nstates 2\ninitial 0\nfinal 1 5 -1\n", "final state 5 out of range", 4),
+        ("base 2\nstates 2\ninitial 0\nfinal 1 x\n", "expected an integer, got 'x'", 4),
+        ("base 2\nstates 2\ninitial 0\nfinal\nfinal 1\n", "duplicate final directive", 5),
+        ("base 2\nstates 2\ninitial 0\ntrans 0 1\n", "directive 'trans' takes exactly 3 argument(s)", 4),
+        ("base 2\nstates 2\ninitial 0\ntrans 0 2 1\n", "digit 2 out of range (base 2)", 4),
+        ("base 2\nstates 2\ninitial 0\ntrans 0 1 2\n", "state id out of range in trans 0 1 2", 4),
+        ("base 2\nstates 2\ninitial 0\ntrans 2 1 0\n", "state id out of range in trans 2 1 0", 4),
+        ("states 2\ninitial 0\n", "base and states must come first", 2),
+        ("base 2\n", "missing base or states directive", None),
+        ("base 2\nstates 2\nfinal 1\n", "missing initial directive", None),
+    ],
+)
+def test_parse_error_branches(text, message, line):
+    with pytest.raises(FormatError) as exc:
+        parse_dfa(text)
+    assert exc.value.line == line
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_parse_rejects_states_beyond_the_input():
+    # a state that never appears in the text is unreachable padding, so a
+    # count above the text's length only declares memory: it is refused
+    # before the table (8 MB here) exists
+    text = "base 2\nstates 1000000\ninitial 0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as exc:
+            parse_dfa(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "line 2: states 1000000 exceeds the input length (32 characters)"
+    assert peak < 100_000
+    limit = "base 2\nstates 27\ninitial 0\n"
+    assert len(limit) == 27
+    assert parse_dfa(limit).state_count == 27
 
 
 # ---------------------------------------------------------------- completion

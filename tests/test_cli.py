@@ -2,18 +2,28 @@
 
 from __future__ import annotations
 
+import decimal
 import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from updfa import UpSet, build_minimal_automaton, build_pascal, minimize, write_dfa
-from updfa.cli import main
+import updfa.cli
+from updfa import (
+    UpSet,
+    build_minimal_automaton,
+    build_pascal,
+    minimize,
+    parse_dfa,
+    write_dfa,
+)
+from updfa.cli import bench_automaton, main
 
 from test_automaton import EVEN_ONES, powers_of_two_dfa
-from test_decision import up4_instance
+from test_decision import base_power_dfa, up4_instance
 
 CONDITIONS = {"UP0", "UP2", "UP3", "UP4"}
 
@@ -134,6 +144,66 @@ def test_decide_rejects_removed_cap_flags(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--max-exponent", "0", "decide", path])
     assert exc.value.code == 2
+
+
+def test_decide_period_beyond_the_int_str_limit(tmp_path, capsys):
+    # 2^14300 has 4,305 decimal digits, more than CPython >= 3.11 converts
+    # by default; the command lifts that limit while it prints, then puts
+    # it back
+    path = write_tmp(tmp_path, base_power_dfa(14300, 2))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run(capsys, "decide", path)
+    code_json, out_json, _ = run(capsys, "--json", "decide", path)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    # the decimal module prints the period without the int limit
+    period = str(decimal.Decimal(2**14300))
+    assert code == 0
+    assert out.splitlines() == [
+        "ultimately periodic",
+        f"period={period} remainders=0 mismatches=-",
+    ]
+    assert code_json == 0
+    assert json.loads(out_json, parse_int=str) == {
+        "ultimately_periodic": True,
+        "period": period,
+        "remainders": ["0"],
+        "mismatches": [],
+    }
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit before Python 3.11"
+)
+def test_decide_keeps_the_int_str_limit_while_parsing(tmp_path, capsys):
+    # reading a numeral of n digits takes O(n^2) time, so input keeps the
+    # limit that output lifts
+    path = tmp_path / "long.dfa"
+    path.write_text("base 2\nstates 1\ninitial 0\ntrans 0 0 " + "9" * 5000 + "\n")
+    code, _, err = run(capsys, "decide", str(path))
+    assert code == 2
+    assert err.startswith("error: line 4: expected an integer, got '999")
+
+
+def test_decide_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    def exhausted(dfa):
+        raise MemoryError
+
+    monkeypatch.setattr(updfa.cli, "decide", exhausted)
+    path = write_tmp(tmp_path, powers_of_two_dfa())
+    assert run(capsys, "decide", path) == (2, "", "error: out of memory\n")
+
+
+def test_unexpected_exception_exits_3_with_traceback(tmp_path, capsys, monkeypatch):
+    # exit 1 means "not ultimately periodic", so a fault must not use it
+    def broken(dfa):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(updfa.cli, "decide", broken)
+    code, out, err = run(capsys, "decide", write_tmp(tmp_path, powers_of_two_dfa()))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("RuntimeError: broken on purpose\n")
 
 
 # ---------------------------------------------------------------- gen
@@ -315,6 +385,55 @@ def test_bench_rejects_bad_arguments(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+CLI_SCALING_BENCH = """
+import statistics, subprocess, sys, time
+paths = sys.argv[1:]
+times = [[] for _ in paths]
+for _ in range(5):
+    for path, samples in zip(paths, times):
+        t0 = time.perf_counter_ns()
+        proc = subprocess.run(
+            [sys.executable, "-m", "updfa.cli", "--json", "decide", path],
+            capture_output=True,
+        )
+        samples.append(time.perf_counter_ns() - t0)
+        assert proc.returncode == 0, proc.stderr
+print(*(int(statistics.median(s)) for s in times))
+"""
+
+
+def test_decide_command_scaling(tmp_path):
+    # the whole command, read and parse included, on the group automaton
+    # of {0} + pN at p = 10,007 and 100,003: O(bn log n) is about 12x per
+    # decade; each run is a fresh interpreter, repeats round-robin over the
+    # sizes
+    paths = [write_tmp(tmp_path, bench_automaton(p, 2), f"{p}.dfa") for p in (10007, 100003)]
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_SCALING_BENCH, *paths],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    small, large = map(int, proc.stdout.split())
+    ratio = large / small
+    assert ratio <= 20, f"decade ratio {ratio:.2f} exceeds 20 ({small}, {large} ns)"
+
+
+def test_parse_peak_memory_follows_the_text():
+    # the trans block is split a chunk at a time, so the parser's peak is
+    # a fraction of the text, not the millions of strings of one split
+    text = write_dfa(bench_automaton(100003, 2))
+    tracemalloc.start()
+    try:
+        dfa = parse_dfa(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dfa.state_count == 100003
+    assert peak < 3 * len(text), f"peak {peak} bytes on a text of {len(text)} characters"
 
 
 # ---------------------------------------------------------------- entry point
