@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import enum
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, repeat
-from operator import add, mul
+from operator import floordiv, mod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -571,8 +571,9 @@ def parse_dfa(text: str) -> Dfa:
     (states that never appear in it are unreachable padding).
 
     When every line from the first ``trans`` line on is a plain ``trans``
-    line (ASCII, four tokens, no comment, only ``\\n`` breaks), that block
-    is converted in bulk, a chunk at a time.  Any other text, and any block
+    line (ASCII, four tokens, no comment, only ``\\n`` breaks) and the
+    lines come in table order, as `write_dfa` emits them, that block is
+    converted in bulk, a chunk at a time.  Any other text, and any block
     in which a check fails, is read line by line, so every FormatError
     comes from the line reader, with its line number.
     """
@@ -695,8 +696,9 @@ def _read_trans_block(text: str, start: int, got: _Parsed) -> bool:
     """Store the trans lines of text[start:] into `got.table` in bulk.
 
     Returns False, with the table partly written, as soon as the block is
-    not made of plain ``trans q a q'`` lines or a line in it is wrong; the
-    caller then reads the whole text line by line.
+    not made of plain ``trans q a q'`` lines in table order (the order
+    `write_dfa` emits) or a line in it is wrong; the caller then reads the
+    whole text line by line.
     """
     # each \n ends a line and each line starts with "trans "; no other line
     # break, and no minus sign, so every integer is >= 0
@@ -706,7 +708,6 @@ def _read_trans_block(text: str, start: int, got: _Parsed) -> bool:
     if lines_left != text.count("\n", start - 1) - text.endswith("\n"):
         return False
     b, n, table = got.base, got.states, got.table
-    digits = list(map(str, range(b)))
     pos = start
     while pos < len(text):
         end = text.find("\n", pos + _CHUNK) + 1 or len(text)
@@ -726,36 +727,36 @@ def _read_trans_block(text: str, start: int, got: _Parsed) -> bool:
             targets = array("i", list(map(int, toks[3::4])))
         except (ValueError, OverflowError):
             return False
-        if max(targets) >= n:
+        if first + lines > len(table) or max(targets) >= n:
             return False
         # in table order the (q, a) columns hold the numerals of the indices
         # first, first + 1, ...: compare them as strings, then store the
-        # targets as one slice, into entries still missing (a slice past
-        # the table's end is short, and fails that test too)
-        q0, a0 = divmod(first, b)
-        q1 = (first + lines - 1) // b + 1
-        if toks[2::4] == (digits * (q1 - q0))[a0 : a0 + lines]:
-            numerals = list(map(str, range(q0, q1)))
-            names = [""] * (b * len(numerals))
-            for a in range(b):
-                names[a::b] = numerals
-            if toks[1::4] == names[a0 : a0 + lines]:
-                if table[first : first + lines] != array("i", (MISSING,)) * lines:
-                    return False
-                table[first : first + lines] = targets
-                continue
-        try:
-            qs = list(map(int, toks[1::4]))
-            ds = list(map(int, toks[2::4]))
-        except ValueError:
+        # targets as one slice, into entries still missing
+        if (toks[1::4], toks[2::4]) != _numerals(first, lines, b):
             return False
-        if max(ds) >= b or max(qs) >= n:
+        if table[first : first + lines] != array("i", (MISSING,)) * lines:
             return False
-        index = list(map(add, map(mul, qs, repeat(b)), ds))
-        if len(set(index)) != lines or max(map(table.__getitem__, index)) != MISSING:
-            return False
-        deque(map(table.__setitem__, index, targets), 0)
+        table[first : first + lines] = targets
     return lines_left == 0
+
+
+def _numerals(first: int, count: int, b: int) -> tuple[list[str], list[str]]:
+    """The state and digit numerals of table indices first .. first+count-1."""
+    if b > count:
+        # fewer indices than a row holds: name each one
+        idx = range(first, first + count)
+        states = map(floordiv, idx, repeat(b))
+        return list(map(str, states)), list(map(str, map(mod, idx, repeat(b))))
+    # whole rows: one numeral per state and per digit, copied b and
+    # (q1 - q0) times, in at most count + 2b slots
+    q0, a0 = divmod(first, b)
+    q1 = (first + count - 1) // b + 1
+    names = [""] * (b * (q1 - q0))
+    numerals = list(map(str, range(q0, q1)))
+    for a in range(b):
+        names[a::b] = numerals
+    digits = list(map(str, range(b))) * (q1 - q0)
+    return names[a0 : a0 + count], digits[a0 : a0 + count]
 
 
 def write_dfa(dfa: Dfa) -> str:

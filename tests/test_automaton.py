@@ -515,7 +515,7 @@ MUTATIONS = (
     d=dfas(max_states=12),
     more=st.lists(st.sampled_from(MUTATIONS), max_size=2),
     chunk=st.sampled_from([1, 9, 40, automaton._CHUNK]),
-    rng=st.randoms(use_true_random=True),
+    rng=st.randoms(),
 )
 def test_bulk_parse_matches_line_reader(kind, d, more, chunk, rng):
     # small chunks cut the trans block at many places, so chunks start at
@@ -580,6 +580,32 @@ def test_parse_rejects_states_beyond_the_input():
     limit = "base 2\nstates 27\ninitial 0\n"
     assert len(limit) == 27
     assert parse_dfa(limit).state_count == 27
+
+
+def test_parse_large_base_costs_the_table_only():
+    # a row of 10^6 digits is longer than the block: the bulk path names
+    # each line's indices instead of building one numeral per digit
+    base = 1_000_000
+    text = f"base {base}\nstates 1\ninitial 0\ntrans 0 0 0\ntrans 0 1 0\n"
+    tracemalloc.start()
+    try:
+        d = parse_dfa(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == _line_parse(text)
+    assert peak < 4 * base * 1.1
+
+
+def test_parse_huge_state_id_is_a_format_error():
+    # a 4,300-digit id converts to an int, but the next id up has no
+    # numeral under CPython's int-to-str limit: the bulk path must refuse
+    # the run by its range before it names it
+    q = "9" * 4300
+    text = f"base 2\nstates 2\ninitial 0\ntrans {q} 1 0\ntrans 0 0 0\n"
+    with pytest.raises(FormatError) as exc:
+        parse_dfa(text)
+    assert str(exc.value) == f"line 4: state id out of range in trans {q} 1 0"
 
 
 # ---------------------------------------------------------------- completion

@@ -184,6 +184,14 @@ def test_decide_keeps_the_int_str_limit_while_parsing(tmp_path, capsys):
     assert err.startswith("error: line 4: expected an integer, got '999")
 
 
+def test_decide_huge_state_id_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.dfa"
+    path.write_text("base 2\nstates 2\ninitial 0\ntrans " + "9" * 4300 + " 1 0\ntrans 0 0 0\n")
+    code, _, err = run(capsys, "decide", str(path))
+    assert code == 2
+    assert err.startswith("error: line 4: state id out of range in trans 999")
+
+
 def test_decide_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     def exhausted(dfa):
         raise MemoryError
