@@ -21,7 +21,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import floordiv, mod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -110,13 +110,15 @@ class Dfa:
         """True iff every digit acts as a permutation of the state set."""
         if not self.is_complete:
             raise PreconditionViolated("is_group_automaton requires a complete automaton")
+        # n targets in [0, n) are a permutation iff distinct: a set counts
+        # them at C speed, a chunk at a time, so a collision ends the scan
         n, b = self.state_count, self.base
         for a in range(b):
-            seen = bytearray(n)
-            for t in self.transitions[a::b]:
-                if seen[t]:
+            col, seen = self.transitions[a::b], set()
+            for lo in range(0, n, 4096):
+                seen.update(col[lo : lo + 4096])
+                if len(seen) < min(lo + 4096, n):
                     return False
-                seen[t] = 1
         return True
 
     @cached_property
@@ -234,73 +236,79 @@ def is_group_automaton(dfa: Dfa) -> bool:
 def minimize(dfa: Dfa) -> Dfa:
     """The minimal complete DFA of the language of complete(dfa).
 
-    Partition refinement in O(bn log n): bulk Moore rounds while they pay,
-    then a Hopcroft tail (see `_moore`).  The result keeps its completion
-    sink when one is needed, has all states reachable, and is numbered in
-    BFS order from the initial state.
+    Partition refinement in O(bn log n): bulk Moore rounds of one hash per
+    state while they pay, then a Hopcroft tail (see `_moore`).  Blocks are
+    named by their least state, so the renumbering reads block c through
+    state c.  The result keeps its completion sink when one is needed, has
+    all states reachable, and is numbered in BFS order from the initial
+    state.
     """
     dfa = complete(dfa)
     n, b = dfa.state_count, dfa.base
     trans = dfa.transitions
     cls = _moore([trans[a::b] for a in range(b)], dfa._final_bytes)
-    # BFS from the initial block, reading each block through the first of
-    # its states the search meets; unreachable blocks are never emitted
+    # BFS from the initial block; unreachable blocks are never emitted
     new_of = [MISSING] * n
-    new_of[cls[dfa.initial]] = 0
-    reps = [dfa.initial]
+    reps = [cls[dfa.initial]]
+    new_of[reps[0]] = 0
     flat = []
-    for s in reps:
-        for t in trans[s * b : s * b + b]:
+    for c in reps:
+        for t in trans[c * b : c * b + b]:
             blk = cls[t]
             i = new_of[blk]
             if i == MISSING:
                 i = new_of[blk] = len(reps)
-                reps.append(t)
+                reps.append(blk)
             flat.append(i)
     finals = compress(range(len(reps)), map(dfa._final_bytes.__getitem__, reps))
     return Dfa(b, len(reps), 0, flat, frozenset(finals))
 
 
-def _blocks(sig: Sequence) -> tuple[list[int], int]:
-    """Dense block ids by first occurrence of each signature, and their count."""
-    ids = dict(zip(dict.fromkeys(sig), range(len(sig))))
-    return list(map(ids.__getitem__, sig)), len(ids)
+def _least_names(keys: Iterable) -> tuple[list[int], int]:
+    """Each position named by the first, least, position with an equal key,
+    and the number of distinct keys: one hash per key, no second lookup."""
+    ids: dict = {}
+    return list(map(ids.setdefault, keys, count())), len(ids)
 
 
 def _moore(cols: list[array], flags: bytes) -> list[int]:
     """Block of each state in the coarsest partition that is finer than
-    `flags` and stable under every column.
+    `flags` and stable under every column, named by its least state.
 
-    A Moore round refines the blocks by the blocks of the successors: one
-    signature tuple per state, built and numbered at C speed, so a round
-    costs O(bn) however few blocks it splits.  A round is productive if it
-    doubles the block count or adds n/16 blocks or more.  After the third
-    unproductive round the Hopcroft tail finishes, so there are at most
-    log2 n + 19 rounds, and chains, where Moore alone needs n rounds, stay
-    within O(bn log n).
+    A Moore round refines the blocks by the blocks of the successors: each
+    state's signature is made and hashed once, at C speed, and one per
+    block is kept, so a round costs O(bn) however few blocks it splits.
+    A round is productive if it doubles the block count or adds n/16
+    blocks or more.  After the third unproductive round the Hopcroft tail
+    finishes, so there are at most log2 n + 19 rounds, and chains, where
+    Moore alone needs n rounds, stay within O(bn log n).
     """
     n = len(flags)
-    cls, k = _blocks(flags)
+    cls, k = _least_names(flags)
     idle = 0
     while k < n:  # singletons are stable
-        nxt, k2 = _blocks(list(zip(cls, *[map(cls.__getitem__, col) for col in cols])))
+        prev = cls
+        cls, k2 = _least_names(zip(prev, *[map(prev.__getitem__, col) for col in cols]))
         if k2 == k:
-            break
+            break  # the same partition, so the same names
         if k2 < 2 * k and (k2 - k) * 16 < n:
             idle += 1
-        prev, cls, k = cls, nxt, k2
+        k = k2
         if idle == 3:
-            return _hopcroft(cols, cls, prev)
+            # the tail works on dense ids, numbered in the order of the names
+            dense = dict(zip(sorted(set(cls)), range(k)))
+            return _least_names(_hopcroft(cols, list(map(dense.__getitem__, cls)), prev))[0]
     return cls
 
 
 def _hopcroft(cols: list[array], cls: list[int], prev: list[int]) -> list[int]:
     """Refine `cls` (dense block ids) in place to the Moore fixpoint.
 
-    `cls` must refine `prev` and be stable with respect to every block of
-    `prev`, as Moore round r is with `prev` from round r-1 (and the
-    finality split with `prev` one block), so the worklist starts with
-    every part of each block of `prev` but its largest.  Blocks are ranges
+    `prev` may name its blocks by any ints.  `cls` must refine `prev` and
+    be stable with respect to every block of `prev`, as Moore round r is
+    with `prev` from round r-1 (and the finality split with `prev` one
+    block), so the worklist starts with every part of each block of `prev`
+    but its largest.  Blocks are ranges
     [first, end) of one element array with a position index; a marked
     predecessor is swapped to the front of its block, below `mid`, so both
     halves of a split stay contiguous.  The new block is always the smaller

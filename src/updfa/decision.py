@@ -336,19 +336,27 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
         )
 
     # descend until a representative answers, and spread its residues
-    # over the stride of R that the word read so far selects
+    # over the stride of R that the word read so far selects; b^length and
+    # the word's value are built only there and at mismatches, so a long
+    # 0-chain above an empty sink costs no big-int arithmetic
     p = p_c * b ** ex[init]
     rem: set[int] = set()
-    stack = [(init, 1, 0)]  # state, b^length and value of the word read
+    word: list[int] = []  # the digits read to the state popped last
+    stack = [(init, 0, ())]  # state, and the word to it as word[:k] + last
     while stack:
-        q, weight, v = stack.pop()
+        q, k, last = stack.pop()
+        word[k:] = last
         z = rep[q]
         if z == -1:
             row = q * b
-            for a in range(b):
-                stack.append((trans[row + a], weight * b, v + a * weight))
+            k = len(word)
+            stack.extend((trans[row + a], k, (a,)) for a in range(b))
             continue
         params = atomic[cond.scc_of[z]].params
+        if not params.remainders:
+            continue
+        weight = b ** len(word)
+        v = _word_value(word, b)
         stride = params.p * weight
         for m in accepted_residues(params, label[z], b):
             rem.update(range(v + m * weight, p, stride))
@@ -357,20 +365,32 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
     # canonical expansions; prune to the states a mismatch lies below
     mismatches = []
     if deep[init] or flags[init] != pz0[init]:
-        stack = [(init, 1, 0, True)]  # ..., whether the word is canonical
+        stack = [(init, 0, (), True)]  # ..., whether the word is canonical
         while stack:
-            q, weight, v, canonical = stack.pop()
+            q, k, last, canonical = stack.pop()
+            word[k:] = last
             if canonical and flags[q] != pz0[q]:
-                mismatches.append(v)
+                mismatches.append(_word_value(word, b))
             row = q * b
+            k = len(word)
             if deep[trans[row]]:
-                stack.append((trans[row], weight * b, v, False))
+                stack.append((trans[row], k, (0,), False))
             for a in range(1, b):
                 t = trans[row + a]
                 if deep[t] or flags[t] != pz0[t]:
-                    stack.append((t, weight * b, v + a * weight, True))
+                    stack.append((t, k, (a,), True))
     mismatches.sort()
     return _with_least_period(p, frozenset(rem), mismatches)
+
+
+def _word_value(word: list[int], b: int) -> int:
+    """The value of a word read least significant digit first, by pairwise
+    merging: O(M(L) log L) for L digits, not Horner's O(L^2)."""
+    vals, scale = word, b
+    while len(vals) > 1:
+        vals = [lo + hi * scale for lo, hi in zip(vals[::2], vals[1::2] + [0])]
+        scale *= scale
+    return vals[0] if vals else 0
 
 
 def decide(dfa: Dfa) -> DecisionResult:

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from updfa import (
     Dfa,
@@ -212,6 +213,59 @@ def test_minimize_chain_scaling():
     small, large = map(int, proc.stdout.split())
     ratio = large / small
     assert ratio <= 20, f"decade ratio {ratio:.2f} exceeds 20 ({small}, {large} ns)"
+
+
+DECIDE_SCALING_BENCH = """
+import gc, statistics, sys, time
+sys.path.insert(0, sys.argv[1])
+from test_automaton import SETTLES, redundant_product
+from test_decision import base_power_dfa
+from updfa import automaton, decide, minimize
+from updfa.decision import _conditions, _read_parameters
+
+def extract(minimal):
+    verified = _conditions(minimal)[1]
+    return lambda: _read_parameters(minimal, verified)
+
+products = [redundant_product(SETTLES, copies) for copies in (81, 807)]
+chains = [base_power_dfa(e, 2) for e in (10**4, 10**5)]
+runs = [lambda d=d: decide(d) for d in products + chains]
+runs += [extract(minimize(d)) for d in chains]
+tail = automaton._hopcroft
+automaton._hopcroft = None  # the products settle in Moore rounds
+assert all(decide(d).ultimately_periodic for d in products)
+automaton._hopcroft = tail
+times = [[] for _ in runs]
+gc.disable()
+for _ in range(5):
+    for run, samples in zip(runs, times):
+        t0 = time.perf_counter_ns()
+        run()
+        samples.append(time.perf_counter_ns() - t0)
+print(*(int(statistics.median(s)) for s in times))
+"""
+
+
+def test_decide_scaling():
+    # decide end to end at 10^4 and 10^5 states on two families no other
+    # gate times whole: a redundant product that Moore rounds settle, and
+    # the 0-chain of 2^e * N, whose extraction alone is timed as well,
+    # since the decide ratio hides it; O(bn log n) is about 12x per decade,
+    # a quadratic extraction about 100x.  Measured in a fresh interpreter,
+    # repeats round-robin over the sizes
+    proc = subprocess.run(
+        [sys.executable, "-c", DECIDE_SCALING_BENCH, str(Path(__file__).parent)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    medians = list(map(int, proc.stdout.split()))
+    for name, small, large in zip(
+        ("redundant product", "2^e * N", "2^e * N extraction"), medians[::2], medians[1::2]
+    ):
+        ratio = large / small
+        assert ratio <= 20, f"{name}: decade ratio {ratio:.2f} exceeds 20 ({small}, {large} ns)"
 
 
 def test_criterion_10_group_structure_lemmas(corpus_sets):

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from updfa import (
     Dfa,
     SccType,
+    UpSet,
     accepts,
+    build_minimal_automaton,
     check_zero_stability,
     complete,
     condensation,
@@ -714,6 +716,62 @@ def test_hopcroft_tail_from_every_moore_round():
         fixpoint = rounds[-1]
         for prev, cls in zip([[0] * d.state_count] + rounds, rounds):
             assert dense(automaton._hopcroft(cols, list(cls), prev)) == fixpoint
+
+
+def redundant_product(g, copies):
+    """`g` read together with a digit counter mod `copies` that finality
+    ignores: copies * n states, whose minimal automaton is minimize(g)."""
+    b = g.base
+    trans = [
+        t * copies + (c + 1) % copies
+        for s in range(g.state_count)
+        for c in range(copies)
+        for t in g.transitions[b * s : b * s + b]
+    ]
+    finals = frozenset(f * copies + c for f in g.finals for c in range(copies))
+    return Dfa(b, g.state_count * copies, g.initial * copies, trans, finals)
+
+
+# the minimal automaton of ({0, 3, 5, 6} + 11N) xor {9} in base 2, 124
+# states; Moore rounds settle its redundant products without the tail
+SETTLES = build_minimal_automaton(UpSet.from_parts(11, [0, 3, 5, 6], [9]), 2)
+
+
+def test_moore_names_blocks_by_least_state(monkeypatch):
+    tails = []
+    tail = automaton._hopcroft
+
+    def counted_tail(*args):
+        tails.append(args)
+        return tail(*args)
+
+    monkeypatch.setattr(automaton, "_hopcroft", counted_tail)
+    rng = random.Random(20261019)
+    cases = [complete(random_dfa(rng, max_states=40, max_base=4)) for _ in range(200)]
+    cases += [cyclic_dfa(rng, rng.randint(2, 400), rng.randint(2, 3)) for _ in range(30)]
+    cases.append(redundant_product(SETTLES, 3))
+    for d in cases:
+        cols = [d.transitions[a :: d.base] for a in range(d.base)]
+        cls = automaton._moore(cols, d._final_bytes)
+        assert all(cls[c] == c <= s for s, c in enumerate(cls))
+        assert dense(cls) == moore_rounds(d)[-1]
+    assert len(tails) >= 10, "too few cases reached the Hopcroft tail"
+
+
+def test_minimize_peak_memory_without_the_tail(monkeypatch):
+    # a round hashes each signature as it is made and keeps one tuple per
+    # block, so the peak is a few lists of n ints beside the columns
+    d = redundant_product(SETTLES, 807)
+    monkeypatch.setattr(automaton, "_hopcroft", None)  # must not be reached
+    table = 4 * len(d.transitions)
+    tracemalloc.start()
+    try:
+        m = minimize(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (m.state_count, d.state_count) == (124, 100068)
+    assert peak < 6 * table, f"peak {peak / table:.1f}x the table's {table} bytes"
 
 
 @settings(max_examples=60, deadline=None)

@@ -369,6 +369,15 @@ def test_extract_large_single_mismatch():
     assert res.params == s
 
 
+def test_extract_long_words():
+    # residues and mismatches of 200 to 300 binary digits, most of them
+    # nonzero, read off words that extraction builds only at their ends
+    e = 300
+    s = UpSet.from_parts(3 * 2**e, [2**e - 1, 2**(e - 1) + 5], [2**200 + 12345, 3 * 2**250 + 1])
+    with Budget(2):
+        assert decide(build_minimal_automaton(s, 2)).params == s
+
+
 def test_extract_reduces_a_non_minimal_period():
     # P_{15,R} with R of period 5 is a Pascal automaton that is not
     # minimal; its g-circuit has length 15, the set's least period is 5
