@@ -11,7 +11,6 @@ from .automaton import (
     Dfa,
     SccType,
     accepts,
-    check_zero_stability,
     complete,
     condensation,
     is_group_automaton,
@@ -93,7 +92,6 @@ __all__ = [
     "build_pascal",
     "build_quotient",
     "check_conditions",
-    "check_zero_stability",
     "complete",
     "condensation",
     "decide",

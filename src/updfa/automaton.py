@@ -110,16 +110,8 @@ class Dfa:
         """True iff every digit acts as a permutation of the state set."""
         if not self.is_complete:
             raise PreconditionViolated("is_group_automaton requires a complete automaton")
-        # n targets in [0, n) are a permutation iff distinct: a set counts
-        # them at C speed, a chunk at a time, so a collision ends the scan
-        n, b = self.state_count, self.base
-        for a in range(b):
-            col, seen = self.transitions[a::b], set()
-            for lo in range(0, n, 4096):
-                seen.update(col[lo : lo + 4096])
-                if len(seen) < min(lo + 4096, n):
-                    return False
-        return True
+        b = self.base
+        return all(_permutes(self.transitions[a::b]) for a in range(b))
 
     @cached_property
     def _final_bytes(self) -> bytes:
@@ -136,6 +128,20 @@ class Dfa:
                 yield i // b, i % b, t
 
 
+def _permutes(col: Sequence[int]) -> bool:
+    """True iff a column of n targets in [0, n) is a permutation.
+
+    They are iff distinct: a set counts them at C speed, a chunk at a
+    time, so a collision ends the scan.
+    """
+    n, seen = len(col), set()
+    for lo in range(0, n, 4096):
+        seen.update(col[lo : lo + 4096])
+        if len(seen) < min(lo + 4096, n):
+            return False
+    return True
+
+
 class SccType(enum.Enum):
     TRIVIAL = "Trivial"
     TYPE_ONE = "TypeOne"
@@ -146,15 +152,16 @@ class SccType(enum.Enum):
 class Condensation:
     """SCC partition of a Dfa with per-scc classification.
 
-    `descendants[c]` is the set of immediate successor sccs of c in the
-    component graph; scc ids are reverse topological, so every edge of the
-    component graph goes to a smaller id.  TypeTwo sccs are simple circuits
-    labelled only by the digit 0; TypeOne sccs contain an internal transition
-    with a positive digit; Trivial sccs are singletons with no internal
-    transition.
+    `scc_of[s]` is the id of state s's scc, one ``array("i")`` slot per
+    state, and `descendants[c]` the set of immediate successor sccs of c
+    in the component graph; scc ids are reverse topological, so every edge
+    of the component graph goes to a smaller id.  TypeTwo sccs are simple
+    circuits labelled only by the digit 0; TypeOne sccs contain an
+    internal transition with a positive digit; Trivial sccs are singletons
+    with no internal transition.
     """
 
-    scc_of: tuple[int, ...]
+    scc_of: array
     scc_members: tuple[tuple[int, ...], ...]
     scc_type: tuple[SccType, ...]
     descendants: tuple[frozenset[int], ...]
@@ -219,15 +226,6 @@ def accepts(dfa: Dfa, word: Sequence[int]) -> bool:
     return s in dfa.finals
 
 
-def check_zero_stability(dfa: Dfa) -> bool:
-    """True iff every state and its 0-successor agree on finality.
-
-    This is what makes an automaton accept by value: all expansions of the
-    same number (which differ only by trailing zeros) share one verdict.
-    """
-    return dfa.is_zero_stable
-
-
 def is_group_automaton(dfa: Dfa) -> bool:
     """True iff every digit acts as a permutation of the state set."""
     return dfa.is_group
@@ -244,12 +242,26 @@ def minimize(dfa: Dfa) -> Dfa:
     state.
     """
     dfa = complete(dfa)
-    n, b = dfa.state_count, dfa.base
-    trans = dfa.transitions
+    b, trans = dfa.base, dfa.transitions
     cls = _moore([trans[a::b] for a in range(b)], dfa._final_bytes)
-    # BFS from the initial block; unreachable blocks are never emitted
-    new_of = [MISSING] * n
-    reps = [cls[dfa.initial]]
+    flat, reps = _bfs(trans, b, dfa.initial, cls)
+    finals = compress(range(len(reps)), map(dfa._final_bytes.__getitem__, reps))
+    return Dfa(b, len(reps), 0, flat, frozenset(finals))
+
+
+def _bfs(
+    trans: array, b: int, start: int, cls: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """The table of the quotient by `cls`, numbered in BFS order from the
+    block of `start`, and the block behind each new state.
+
+    `cls[s]` names state s's block by a state of that block, the block's
+    successors being read through that state; blocks not reachable from
+    `start` are never emitted.  With cls = range(n) this is a canonical
+    numbering of the reachable states themselves.
+    """
+    new_of = [MISSING] * len(cls)
+    reps = [cls[start]]
     new_of[reps[0]] = 0
     flat = []
     for c in reps:
@@ -260,8 +272,7 @@ def minimize(dfa: Dfa) -> Dfa:
                 i = new_of[blk] = len(reps)
                 reps.append(blk)
             flat.append(i)
-    finals = compress(range(len(reps)), map(dfa._final_bytes.__getitem__, reps))
-    return Dfa(b, len(reps), 0, flat, frozenset(finals))
+    return flat, reps
 
 
 def _least_names(keys: Iterable) -> tuple[list[int], int]:
@@ -375,62 +386,25 @@ def _hopcroft(cols: list[array], cls: list[int], prev: list[int]) -> list[int]:
 
 
 def isomorphic(a: Dfa, b: Dfa) -> bool:
-    """Lockstep traversal isomorphism test for complete, reachable DFAs.
+    """True iff some state bijection maps initial to initial, finals onto
+    finals, and commutes with every transition; for complete DFAs with
+    every state reachable, minimal or not.
 
-    True iff some state bijection maps initial to initial, finals onto
-    finals, and commutes with every transition.  O(base * n).
-
-    Reachability is checked by the traversal itself rather than up front;
-    a mismatch found before the check may yield False instead of raising,
-    which is still sound because a bijection on the full automata would
-    restrict to one on the reachable parts.
+    Each side is renumbered in BFS order from its initial state, as
+    `minimize` numbers its result, and the two tables and finality
+    vectors are compared.  O(base * n).
     """
     if a.base != b.base:
         raise PreconditionViolated("isomorphic requires equal bases")
     if not a.is_complete or not b.is_complete:
         raise PreconditionViolated("isomorphic requires complete automata")
-    n = a.state_count
-    if n != b.state_count or len(a.finals) != len(b.finals):
-        return False
-    base = a.base
-    ta = a.transitions
-    tb = b.transitions
-    fa, fb = a._final_bytes, b._final_bytes
-    if fa[a.initial] != fb[b.initial]:
-        return False
-    image = array("i", (MISSING,)) * n
-    image[a.initial] = b.initial
-    taken = bytearray(n)
-    taken[b.initial] = 1
-    order = array("i", (0,)) * n
-    order[0] = a.initial
-    filled = 1
-    qi = 0
-    digits = range(base)
-    while qi < filled:
-        s = order[qi]
-        qi += 1
-        row_a = s * base
-        row_b = image[s] * base
-        for d in digits:
-            u = ta[row_a + d]
-            v = tb[row_b + d]
-            mu = image[u]
-            if mu == MISSING:
-                if taken[v] or fa[u] != fb[v]:
-                    return False
-                image[u] = v
-                taken[v] = 1
-                order[filled] = u
-                filled += 1
-            elif mu != v:
-                return False
-    if filled != n:
-        # the pairing covered only part of either automaton, so a True
-        # answer would say nothing about the rest; sizes match, hence one
-        # traversal count checks both sides
-        raise PreconditionViolated("isomorphic requires all states reachable")
-    return True
+    forms = []
+    for d in (a, b):
+        flat, reps = _bfs(d.transitions, d.base, d.initial, range(d.state_count))
+        if len(reps) != d.state_count:
+            raise PreconditionViolated("isomorphic requires all states reachable")
+        forms.append((flat, bytes(map(d._final_bytes.__getitem__, reps))))
+    return forms[0] == forms[1]
 
 
 def condensation(dfa: Dfa) -> Condensation:
@@ -530,7 +504,7 @@ def condensation(dfa: Dfa) -> Condensation:
                     root = False
 
     # assigned value n + c maps to emission-order id (2n - 1) - (n + c)
-    scc_of = tuple(map((2 * n - 1).__sub__, rindex))
+    scc_of = array("i", map((2 * n - 1).__sub__, rindex))
 
     k = len(scc_members)
     has_zero = bytearray(k)

@@ -153,7 +153,7 @@ def cmd_info(args) -> int:
             "pascal_failure": None,
         }
         if cond.scc_type[c].value == "TypeOne" and comp:
-            atomic, diag = _check_atomic_scc(dfa, members)
+            atomic, diag = _check_atomic_scc(dfa, cond, c)
             if atomic is not None:
                 quotients[c] = params = atomic.params
                 entry["pascal"] = {

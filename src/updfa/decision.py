@@ -93,39 +93,19 @@ class _Verified:
     image: dict[int, int]
 
 
-def _scc_sub_dfa(
-    dfa: Dfa, members: tuple[int, ...]
-) -> tuple[Dfa | None, Sequence[int]]:
-    """The automaton restricted to a closed scc, rooted at its lowest
-    member, and the global id of each of its states; None in place of
-    the automaton if some transition leaves the scc."""
-    b = dfa.base
-    ordered = sorted(members)
-    local = {s: i for i, s in enumerate(ordered)}
-    trans = dfa.transitions
-    flat = []
-    for s in ordered:
-        row = s * b
-        for a in range(b):
-            t = local.get(trans[row + a])
-            if t is None:
-                return None, ordered
-            flat.append(t)
-    finals = frozenset(local[q] for q in dfa.finals if q in local)
-    return Dfa(b, len(members), 0, tuple(flat), finals), ordered
-
-
 def _check_atomic_scc(
-    dfa: Dfa, members: tuple[int, ...]
+    dfa: Dfa, cond: Condensation, c: int
 ) -> tuple[_Atomic | None, str | None]:
-    """UP2 on one scc: closure, then the Pascal-quotient test."""
-    sub, ordered = _scc_sub_dfa(dfa, members)
-    if sub is None:
+    """UP2 on the positive-digit scc c of a complete automaton: closure,
+    which holds iff c has no successor scc, then the Pascal-quotient test
+    on its own columns."""
+    if cond.descendants[c]:
         return None, "transitions leave the scc"
-    check = is_pascal_quotient(sub)
+    members = cond.scc_members[c]
+    check = is_pascal_quotient(dfa, members)
     if check.params is None:
         return None, check.failure.value
-    return _Atomic(check.params, check.labels, ordered), None
+    return _Atomic(check.params, check.labels, members), None
 
 
 def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
@@ -177,7 +157,7 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
     for c in range(cond.count):
         if types[c] is not SccType.TYPE_ONE:
             continue
-        found, diag = _check_atomic_scc(dfa, cond.scc_members[c])
+        found, diag = _check_atomic_scc(dfa, cond, c)
         if found is None:
             return ConditionFailure("UP2", c, diag), None
         atomic[c] = found

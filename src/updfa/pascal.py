@@ -6,14 +6,18 @@ transition group is the semidirect product Z/pZ x| Z/psiZ, which is why a
 second letter g (acting like reading 1 then unreading 0) together with 0
 generates everything a minimal automaton of a coprime periodic set can do.
 
-is_pascal_quotient decides in O(base * n) whether a complete DFA is (up to
-isomorphism) a quotient of some Pascal automaton:
+is_pascal_quotient decides in O(base * n) whether a complete DFA, or one
+closed scc of it, is (up to isomorphism) a quotient of some Pascal
+automaton.  It works on one successor column per digit: the table's own
+stripes for a whole automaton, or, for an scc, its states' columns
+relabelled to positions in the scc's member list; no sub-automaton is
+built.  The root is the initial state, or the scc's least member.
 
   Step 0  group automaton + zero-stability, else it cannot be one;
   Step 1  compute the g-successor of every state as a column beside the
           0-column, and verify that no digit carries more information
           (s.a must equal s.g^a.0 for every state and digit);
-  Step 2  read off p, R from the g-circuit of the initial state and (h, k)
+  Step 2  read off p, R from the g-circuit of the root and (h, k)
           from the smallest mixed circuit g^h 0^k;
   Step 3  label every state with its forced image in A_{(h,k)} and check
           that the labelling is an isomorphism.
@@ -28,9 +32,10 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import count
+from typing import Iterable, Sequence
 
-from .automaton import Dfa
+from .automaton import Dfa, _permutes
 from .errors import NotCoprime, PreconditionViolated
 from .numeration import _prime_factors, format_list
 
@@ -140,16 +145,33 @@ def build_pascal(p: int, remainders: Iterable[int], base: int) -> Dfa:
     return Dfa(base, p * psi, 0, flat, finals)
 
 
-def _g_columns(dfa: Dfa) -> tuple[array, array, array]:
-    """The 0- and g-successor columns plus the 0-predecessor permutation.
+def _columns(dfa: Dfa, members: Sequence[int] | None = None) -> list[array]:
+    """The successor column of every digit: of the whole automaton, or of
+    the closed set `members`, relabelled to positions in `members`
+    through one dict, at C speed.
 
-    The quotient test works on these striped columns directly; packing a
-    column densely halves the randomly touched footprint of every walk
-    over it compared to striding through the full table.
+    The quotient test works on these columns directly; packing a column
+    densely halves the randomly touched footprint of every walk over it
+    compared to striding through the full table.
     """
-    b = dfa.base
-    zcol = dfa.transitions[0::b]
-    col1 = dfa.transitions[1::b]
+    b, trans = dfa.base, dfa.transitions
+    if members is None:
+        return [trans[a::b] for a in range(b)]
+    pos = dict(zip(members, count()))
+    rows = array("i", map(b.__mul__, members))
+    try:
+        return [
+            array("i", map(pos.__getitem__, map(trans.__getitem__, map(a.__add__, rows))))
+            for a in range(b)
+        ]
+    except KeyError:
+        raise PreconditionViolated("transitions leave the given states") from None
+
+
+def _g_columns(cols: Sequence[array]) -> tuple[array, array, array]:
+    """The 0- and g-successor columns plus the 0-predecessor permutation,
+    from the digit columns `cols`."""
+    zcol, col1 = cols[0], cols[1]
     pred0 = array("i", zcol)
     for s, t in enumerate(zcol):
         pred0[t] = s
@@ -162,7 +184,7 @@ def _analyze(
 ) -> tuple[PascalParams, array, array] | QuotientFailure:
     """Step 2: read the candidate parameters off the g- and 0-columns.
 
-    p and R come from the g-circuit through the initial state; (h, k) is
+    p and R come from the g-circuit through the root `init`; (h, k) is
     the smallest mixed circuit g^h 0^k through it, found by stepping at
     most psi times backward along 0 and testing arrival on the g-circuit.
     Also hands back the g-circuit labelling (position per state, members
@@ -282,28 +304,43 @@ def _matches_quotient(
     return ids
 
 
-def is_pascal_quotient(dfa: Dfa) -> QuotientCheck:
-    """Steps 0-3; O(base * n) total.  Never raises on a negative answer."""
-    if not dfa.is_group:
-        return QuotientCheck(None, QuotientFailure.NOT_GROUP)
-    if not dfa.is_zero_stable:
-        return QuotientCheck(None, QuotientFailure.NOT_ZERO_STABLE)
-    zcol, gcol, pred0 = _g_columns(dfa)
+def is_pascal_quotient(dfa: Dfa, members: Sequence[int] | None = None) -> QuotientCheck:
+    """Steps 0-3 on the whole automaton, rooted at its initial state, or
+    on the closed scc `members`, rooted at its least member; labels are
+    then indexed by position in `members`.  O(base * n) for n states
+    tested.  Never raises on a negative answer; raises
+    PreconditionViolated if a transition leaves `members`.
+    """
+    if members is None:
+        if not dfa.is_group:
+            return QuotientCheck(None, QuotientFailure.NOT_GROUP)
+        if not dfa.is_zero_stable:
+            return QuotientCheck(None, QuotientFailure.NOT_ZERO_STABLE)
+        cols, flags, init = _columns(dfa), dfa._final_bytes, dfa.initial
+    else:
+        cols = _columns(dfa, members)
+        if not all(map(_permutes, cols)):
+            return QuotientCheck(None, QuotientFailure.NOT_GROUP)
+        flags = bytes(map(dfa._final_bytes.__getitem__, members))
+        if bytes(map(flags.__getitem__, cols[0])) != flags:
+            return QuotientCheck(None, QuotientFailure.NOT_ZERO_STABLE)
+        init = members.index(min(members))
+    zcol, gcol, pred0 = _g_columns(cols)
     # digits 0 and 1 define g, so they agree with it by construction; digit
     # a >= 2 must equal g^a then 0, one bulk map per digit
-    trans, b = dfa.transitions, dfa.base
+    b = dfa.base
     g_a = gcol
     for a in range(2, b):
         g_a = array("i", map(gcol.__getitem__, g_a))
-        if trans[a::b] != array("i", map(zcol.__getitem__, g_a)):
+        if cols[a] != array("i", map(zcol.__getitem__, g_a)):
             return QuotientCheck(None, QuotientFailure.SIMPLIFICATION_LOSS)
-    found = _analyze(gcol, pred0, dfa._final_bytes, dfa.initial, b)
+    found = _analyze(gcol, pred0, flags, init, b)
     if isinstance(found, QuotientFailure):
         return QuotientCheck(None, found)
     params, pos_on, circuit = found
     # a quotient has exactly p*k states; bailing out now also keeps an
     # adversarial p*k >> n from blowing the linear budget below
-    if params.p * params.k != dfa.state_count:
+    if params.p * params.k != len(zcol):
         return QuotientCheck(None, QuotientFailure.NOT_ISOMORPHIC)
     labels = _matches_quotient(zcol, gcol, params, pos_on, circuit, b)
     if labels is None:

@@ -18,7 +18,6 @@ from updfa import (
     UpSet,
     accepts,
     build_minimal_automaton,
-    check_zero_stability,
     complete,
     condensation,
     is_group_automaton,
@@ -786,13 +785,33 @@ def test_minimize_idempotent(d):
 # ---------------------------------------------------------------- isomorphic
 
 
+def reachable_part(dfa):
+    """The reachable states of a complete `dfa`, renumbered in id order."""
+    keep = sorted(reachable_states(dfa))
+    new = {s: i for i, s in enumerate(keep)}
+    b = dfa.base
+    trans = [new[dfa.transitions[s * b + a]] for s in keep for a in range(b)]
+    finals = frozenset(new[q] for q in dfa.finals if q in new)
+    return Dfa(b, len(keep), new[dfa.initial], trans, finals)
+
+
 def test_isomorphic_accepts_relabelling():
+    # minimal automata, and complete reachable ones that are not minimal;
+    # an automaton is never isomorphic to a smaller one of the same language
     rng = random.Random(11)
-    for _ in range(60):
-        d = minimize(random_dfa(rng))
+    redundant = 0
+    for i in range(120):
+        d = random_dfa(rng, complete_only=True)
+        d = minimize(d) if i % 2 else reachable_part(d)
         perm = list(range(d.state_count))
         rng.shuffle(perm)
         assert isomorphic(d, relabel(d, perm))
+        m = minimize(d)
+        if m.state_count < d.state_count:
+            redundant += 1
+            assert not isomorphic(d, m)
+            assert not isomorphic(relabel(d, perm), m)
+    assert redundant > 10
 
 
 def test_isomorphic_distinguishes_finals():
@@ -834,10 +853,10 @@ def test_isomorphic_rejects_unreachable_states():
 
 
 def test_zero_stability():
-    assert check_zero_stability(EVEN_ONES)
+    assert EVEN_ONES.is_zero_stable
     flipped = Dfa(base=2, state_count=2, initial=0, transitions=(1, 1, 0, 0), finals=frozenset({0}))
-    assert not check_zero_stability(flipped)
-    assert check_zero_stability(powers_of_two_dfa())
+    assert not flipped.is_zero_stable
+    assert powers_of_two_dfa().is_zero_stable
 
 
 def test_is_group_automaton():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import runpy
 import subprocess
@@ -18,6 +19,7 @@ import updfa.numeration
 from updfa import (
     ConditionFailure,
     Dfa,
+    QuotientFailure,
     SccType,
     UpSet,
     build_embedding,
@@ -27,6 +29,7 @@ from updfa import (
     condensation,
     decide,
     extract_parameters,
+    is_pascal_quotient,
     membership,
     minimize,
 )
@@ -34,7 +37,12 @@ from updfa.errors import PreconditionViolated
 
 from oracle import brute_decide, characteristic_prefix
 from test_acceptance import Budget
-from test_automaton import EVEN_ONES, powers_of_two_dfa
+from test_automaton import (
+    EVEN_ONES,
+    powers_of_two_dfa,
+    random_dfa,
+    random_multi_orbit_group_dfa,
+)
 
 
 # A 16-state instance exercising every structural case at once: three
@@ -215,6 +223,66 @@ def test_up2_failure_on_non_quotient_scc():
     assert not res.ultimately_periodic
     assert res.failure.condition == "UP2"
     assert "PeriodNotCoprime" in res.failure.diagnostic
+
+
+def sub_automaton_check(dfa, members):
+    """Reference for UP2 on one scc: copy it into a Dfa of its own over
+    the sorted members, rooted at the least one, and test that.  Gives
+    params, diagnostic and the label of each global state id."""
+    b = dfa.base
+    ordered = sorted(members)
+    local = {s: i for i, s in enumerate(ordered)}
+    targets = {(local[s], a): local.get(dfa.step(s, a)) for s in ordered for a in range(b)}
+    if None in targets.values():
+        return None, "transitions leave the scc", {}
+    finals = [local[q] for q in dfa.finals if q in local]
+    check = is_pascal_quotient(Dfa.from_map(b, len(ordered), 0, targets, finals))
+    if not check.accepted:
+        return None, check.failure.value, {}
+    return check.params, None, dict(zip(ordered, check.labels))
+
+
+def test_scc_quotient_test_matches_a_sub_automaton():
+    # every positive-digit scc of about 2,000 automata: multi-orbit group
+    # automata, where each orbit is a closed scc, and minimal automata of
+    # random tables and of random coprime periodic sets
+    rng = random.Random(20261019)
+    dfas = []
+    for _ in range(700):
+        dfas.append(random_multi_orbit_group_dfa(rng, rng.randint(2, 4), rng.randint(1, 4)))
+        dfas.append(minimize(random_dfa(rng, max_states=12, max_base=4)))
+        base = rng.choice((2, 3, 5))
+        p = rng.choice([q for q in range(1, 40) if math.gcd(q, base) == 1])
+        dfas.append(minimize(build_pascal(p, [r for r in range(p) if rng.random() < 0.5], base)))
+    seen: dict = {}
+    for d in dfas:
+        cond = condensation(d)
+        for c in range(cond.count):
+            if cond.scc_type[c] is not SccType.TYPE_ONE:
+                continue
+            found, diag = updfa.decision._check_atomic_scc(d, cond, c)
+            got = (None, diag, {})
+            if found is not None:
+                got = (found.params, None, dict(zip(found.members, found.labels)))
+            assert got == sub_automaton_check(d, cond.scc_members[c]), (d, c)
+            seen[diag] = seen.get(diag, 0) + 1
+    # every outcome occurs, and most sccs pass
+    assert set(seen) == {None, "transitions leave the scc", *(f.value for f in QuotientFailure)}
+    assert seen[None] > 1000
+
+
+def test_conditions_build_no_dfa(monkeypatch):
+    # each positive-digit scc is tested on its own columns: no Dfa is built,
+    # hence none validated, while the conditions run
+    calls = []
+    validate = updfa.automaton.validate
+    monkeypatch.setattr(updfa.automaton, "validate", lambda d: calls.append(d) or validate(d))
+    d = minimize(instance())
+    group = random_multi_orbit_group_dfa(random.Random(3), 3, 4)
+    calls.clear()
+    assert check_conditions(d).ultimately_periodic
+    check_conditions(group)
+    assert calls == []
 
 
 def test_up3_failure_two_descendants():

@@ -18,7 +18,6 @@ from updfa import (
     UpSet,
     accepts,
     build_minimal_automaton,
-    check_zero_stability,
     delta,
     delta_word,
     format_upset,
@@ -323,7 +322,7 @@ def test_build_minimal_automaton_is_minimal_and_stable(corpus_sample):
     for s in corpus_sample[:120]:
         dfa = build_minimal_automaton(s, 2)
         assert dfa.is_complete
-        assert check_zero_stability(dfa)
+        assert dfa.is_zero_stable
         m = minimize(dfa)
         assert m.state_count == dfa.state_count
         assert isomorphic(m, dfa)

@@ -17,7 +17,6 @@ from updfa import (
     build_minimal_automaton,
     build_pascal,
     build_quotient,
-    check_zero_stability,
     format_params,
     is_group_automaton,
     is_pascal_quotient,
@@ -27,7 +26,7 @@ from updfa import (
     value,
 )
 from updfa.errors import NotCoprime, PreconditionViolated
-from updfa.pascal import _analyze, _g_columns
+from updfa.pascal import _analyze, _columns, _g_columns
 
 from test_automaton import EVEN_ONES, powers_of_two_dfa
 
@@ -125,7 +124,7 @@ def test_pascal_is_group_and_zero_stable():
     for p, rem, base in [(3, [2], 2), (7, [6], 2), (5, [0, 3], 3)]:
         dfa = build_pascal(p, rem, base)
         assert is_group_automaton(dfa)
-        assert check_zero_stability(dfa)
+        assert dfa.is_zero_stable
 
 
 # ---------------------------------------------------------------- g letter
@@ -133,7 +132,7 @@ def test_pascal_is_group_and_zero_stable():
 
 def high_digits_ok(dfa):
     """Reference for the simplification check: s.a = s.g^a.0, state by state."""
-    zcol, gcol, _ = _g_columns(dfa)
+    zcol, gcol, _ = _g_columns(_columns(dfa))
     for s in range(dfa.state_count):
         x = s
         for a in range(dfa.base):
@@ -151,12 +150,25 @@ def test_add_g_letter_requires_group():
     assert is_pascal_quotient(d).failure == QuotientFailure.NOT_GROUP
 
 
+def test_quotient_test_on_a_closed_scc():
+    # the scc's columns are relabelled to positions in `members`, and the
+    # test is rooted at its least member; an open set is refused
+    d = build_pascal(7, [6], 2)
+    whole = is_pascal_quotient(d)
+    members = list(range(d.state_count))[::-1]
+    check = is_pascal_quotient(d, members)
+    assert check.params == whole.params
+    assert list(check.labels) == list(whole.labels)[::-1]
+    with pytest.raises(PreconditionViolated):
+        is_pascal_quotient(d, [0, 1])
+
+
 def test_add_g_letter_on_pascal():
     # on P_{p,R} the letter g acts as (s, t) -> (s + base^t, t)
     p, base = 5, 2
     psi = multiplicative_order(base, p)
     dfa = build_pascal(p, [0, 3], base)
-    zcol, gcol, pred0 = _g_columns(dfa)
+    zcol, gcol, pred0 = _g_columns(_columns(dfa))
     assert len(gcol) == dfa.state_count
     for s in range(p):
         for t in range(psi):
@@ -170,7 +182,7 @@ def test_add_g_letter_undoes_zero():
     # s.g.0 = s.1 by definition of g
     for p, rem, base in [(5, [0, 3], 2), (7, [1, 2], 3)]:
         dfa = build_pascal(p, rem, base)
-        _, gcol, _ = _g_columns(dfa)
+        _, gcol, _ = _g_columns(_columns(dfa))
         for s in range(dfa.state_count):
             assert dfa.step(gcol[s], 0) == dfa.step(s, 1)
 
@@ -201,7 +213,7 @@ def test_verify_simplification_detects_tampering():
             )
             bad = Dfa(base, n, dfa.initial, trans, dfa.finals)
             assert is_group_automaton(bad)
-            assert check_zero_stability(bad)
+            assert bad.is_zero_stable
             loss = is_pascal_quotient(bad).failure == QuotientFailure.SIMPLIFICATION_LOSS
             assert loss == (not high_digits_ok(bad))
             caught += loss
@@ -233,7 +245,7 @@ def test_analyze_trivial_quotient_of_full_pascal():
 
 
 def test_analyze_rejects_non_coprime_circuit():
-    _, gcol, pred0 = _g_columns(EVEN_ONES)
+    _, gcol, pred0 = _g_columns(_columns(EVEN_ONES))
     found = _analyze(gcol, pred0, EVEN_ONES._final_bytes, EVEN_ONES.initial, 2)
     assert found is QuotientFailure.PERIOD_NOT_COPRIME
 
@@ -250,7 +262,7 @@ def test_analyze_rejects_missing_mixed_circuit():
         trans[(s, 1)] = zero[g[s]]
     d = Dfa.from_map(2, 6, 0, trans, {0, 1, 3})
     assert is_group_automaton(d)
-    assert check_zero_stability(d)
+    assert d.is_zero_stable
     assert is_pascal_quotient(d).failure == QuotientFailure.NO_MIXED_CIRCUIT
 
 
@@ -275,7 +287,7 @@ def test_quotient_with_full_k_is_simplified_pascal():
         psi = multiplicative_order(base, p)
         trivial = PascalParams(p, frozenset(rem), psi, 0, psi)
         pascal = build_pascal(p, rem, base)
-        zcol, gcol, _ = _g_columns(pascal)
+        zcol, gcol, _ = _g_columns(_columns(pascal))
         flat = [x for pair in zip(zcol, gcol) for x in pair]
         simplified = Dfa(2, pascal.state_count, pascal.initial, flat, pascal.finals)
         assert isomorphic(build_quotient(trivial, base), simplified)
@@ -299,7 +311,7 @@ def test_quotient_agrees_with_the_labels():
                 assert check.accepted, (p, rem, base)
                 q = build_quotient(check.params, base)
                 wraps += check.params.h != 0
-                zcol, gcol, _ = _g_columns(dfa)
+                zcol, gcol, _ = _g_columns(_columns(dfa))
                 lab = check.labels
                 assert sorted(lab) == list(range(q.state_count))
                 assert lab[dfa.initial] == q.initial
@@ -381,7 +393,7 @@ def test_rejects_state_count_mismatch():
         {0, 2},
     )
     assert is_group_automaton(d)
-    assert check_zero_stability(d)
+    assert d.is_zero_stable
     check = is_pascal_quotient(d)
     assert check.failure == QuotientFailure.NOT_ISOMORPHIC
 
@@ -398,7 +410,7 @@ def test_rejects_unreachable_states():
         trans[(s, 1)] = pi0[g[s]]
     d = Dfa.from_map(2, 10, 0, trans, {2})
     assert is_group_automaton(d)
-    assert check_zero_stability(d)
+    assert d.is_zero_stable
     check = is_pascal_quotient(d)
     assert not check.accepted
     assert check.failure == QuotientFailure.NOT_ISOMORPHIC
