@@ -235,11 +235,11 @@ def minimize(dfa: Dfa) -> Dfa:
     """The minimal complete DFA of the language of complete(dfa).
 
     Partition refinement in O(bn log n): bulk Moore rounds of one hash per
-    state while they pay, then a Hopcroft tail (see `_moore`).  Blocks are
-    named by their least state, so the renumbering reads block c through
-    state c.  The result keeps its completion sink when one is needed, has
-    all states reachable, and is numbered in BFS order from the initial
-    state.
+    state while they grow the block count by half, then a Hopcroft tail
+    (see `_moore`).  Blocks are named by their least state, so the
+    renumbering reads block c through state c.  The result keeps its
+    completion sink when one is needed, has all states reachable, and is
+    numbered in BFS order from the initial state.
     """
     dfa = complete(dfa)
     b, trans = dfa.base, dfa.transitions
@@ -289,37 +289,35 @@ def _moore(cols: list[array], flags: bytes) -> list[int]:
     A Moore round refines the blocks by the blocks of the successors: each
     state's signature is made and hashed once, at C speed, and one per
     block is kept, so a round costs O(bn) however few blocks it splits.
-    A round is productive if it doubles the block count or adds n/16
-    blocks or more.  After the third unproductive round the Hopcroft tail
-    finishes, so there are at most log2 n + 19 rounds, and chains, where
-    Moore alone needs n rounds, stay within O(bn log n).
+    A round is productive if it grows the block count by more than half.
+    The fourth unproductive round hands over to the Hopcroft tail, so a run
+    one round short of its fixpoint still confirms it by Moore, and chains,
+    where Moore alone needs n rounds, stay within O(bn log n): there are at
+    most log1.5 n + 4 rounds.
     """
     n = len(flags)
     cls, k = _least_names(flags)
     idle = 0
     while k < n:  # singletons are stable
-        prev = cls
-        cls, k2 = _least_names(zip(prev, *[map(prev.__getitem__, col) for col in cols]))
+        cls, k2 = _least_names(zip(cls, *[map(cls.__getitem__, col) for col in cols]))
         if k2 == k:
             break  # the same partition, so the same names
-        if k2 < 2 * k and (k2 - k) * 16 < n:
+        if 2 * k2 <= 3 * k:
             idle += 1
+            if idle == 4:
+                return _least_names(_hopcroft(cols, cls))[0]
         k = k2
-        if idle == 3:
-            # the tail works on dense ids, numbered in the order of the names
-            dense = dict(zip(sorted(set(cls)), range(k)))
-            return _least_names(_hopcroft(cols, list(map(dense.__getitem__, cls)), prev))[0]
     return cls
 
 
-def _hopcroft(cols: list[array], cls: list[int], prev: list[int]) -> list[int]:
-    """Refine `cls` (dense block ids) in place to the Moore fixpoint.
+def _hopcroft(cols: list[array], cls: Sequence[int]) -> list[int]:
+    """The coarsest refinement of `cls` stable under every column, as
+    dense block ids.
 
-    `prev` may name its blocks by any ints.  `cls` must refine `prev` and
-    be stable with respect to every block of `prev`, as Moore round r is
-    with `prev` from round r-1 (and the finality split with `prev` one
-    block), so the worklist starts with every part of each block of `prev`
-    but its largest.  Blocks are ranges
+    `cls` may name its blocks by any ints; they are numbered densely on
+    entry.  The worklist starts with every block but the largest: a
+    partition stable with respect to all blocks but one is stable with
+    respect to their union's complement, the last.  Blocks are ranges
     [first, end) of one element array with a position index; a marked
     predecessor is swapped to the front of its block, below `mid`, so both
     halves of a split stay contiguous.  The new block is always the smaller
@@ -329,6 +327,8 @@ def _hopcroft(cols: list[array], cls: list[int], prev: list[int]) -> list[int]:
     offsets.
     """
     n = len(cls)
+    dense = dict(zip(dict.fromkeys(cls), count()))
+    cls = list(map(dense.__getitem__, cls))
     elems = sorted(range(n), key=cls.__getitem__)
     loc = [0] * n
     for i, s in enumerate(elems):
@@ -337,9 +337,8 @@ def _hopcroft(cols: list[array], cls: list[int], prev: list[int]) -> list[int]:
     first = list(accumulate(map(size.__getitem__, range(len(size) - 1)), initial=0))
     end = first[1:] + [n]
     mid = first[:]
-    parent = list(map(prev.__getitem__, map(elems.__getitem__, first)))
-    order = sorted(range(len(first)), key=lambda blk: (parent[blk], size[blk]))
-    work = [x for x, y in zip(order, order[1:]) if parent[x] == parent[y]]
+    work = list(range(len(first)))
+    work.remove(max(work, key=size.__getitem__))
 
     preds = []
     for col in cols:
@@ -549,8 +548,9 @@ def parse_dfa(text: str) -> Dfa:
     Directives: ``base b``, ``states n``, ``initial q``, ``final q...``
     (at most once, possibly empty), ``trans q digit q'`` (no duplicates for
     one (q, digit)).  '#' starts a comment; base and states must come before
-    the other directives, and states may not exceed the length of the text
-    (states that never appear in it are unreachable padding).
+    the other directives, states may not exceed the length of the text
+    (states that never appear in it are unreachable padding), and the
+    table, states x base entries, may not exceed max(2**20, that length).
 
     When every line from the first ``trans`` line on is a plain ``trans``
     line (ASCII, four tokens, no comment, only ``\\n`` breaks) and the
@@ -610,26 +610,30 @@ def _read_lines(text: str, size: int) -> _Parsed:
         if not line:
             continue
         kw, *rest = line.split()
-        if kw == "base":
-            if got.base is not None:
-                raise FormatError("duplicate base directive", lineno)
+        if kw == "base" or kw == "states":
+            if getattr(got, kw) is not None:
+                raise FormatError(f"duplicate {kw} directive", lineno)
             if len(rest) != 1:
                 _format_arity(kw, 1, lineno)
-            (got.base,) = _ints(rest, lineno)
-            if got.base < 2:
-                raise FormatError(f"base {got.base} < 2", lineno)
-            continue
-        if kw == "states":
-            if got.states is not None:
-                raise FormatError("duplicate states directive", lineno)
-            if len(rest) != 1:
-                _format_arity(kw, 1, lineno)
-            (got.states,) = _ints(rest, lineno)
-            if got.states < 1:
+            (v,) = _ints(rest, lineno)
+            if kw == "base" and v < 2:
+                raise FormatError(f"base {v} < 2", lineno)
+            if kw == "states" and v < 1:
                 raise FormatError("states must be >= 1", lineno)
-            if got.states > size:
+            if kw == "states" and v > size:
                 raise FormatError(
-                    f"states {got.states} exceeds the input length ({size} characters)",
+                    f"states {v} exceeds the input length ({size} characters)", lineno
+                )
+            setattr(got, kw, v)
+            # a complete automaton writes a trans line of at least 12
+            # characters per entry, and any header may declare 2**20
+            # entries (4 MB): only a partial automaton is refused here
+            entries = (got.base or 0) * (got.states or 0)
+            limit = max(1 << 20, size)
+            if entries > limit:
+                raise FormatError(
+                    f"states {got.states} x base {got.base} = {entries} table entries"
+                    f" exceed the limit of {limit}",
                     lineno,
                 )
             continue

@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 from .automaton import Condensation, Dfa, SccType, condensation, minimize
 from .errors import PreconditionViolated
-from .numeration import UpSet, _with_least_period
+from .numeration import UpSet, _with_least_period, value
 from .pascal import PascalParams, accepted_residues, is_pascal_quotient
 
 # decide calls none of these; they stay bound here because the benchmark's
@@ -336,7 +336,7 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
         if not params.remainders:
             continue
         weight = b ** len(word)
-        v = _word_value(word, b)
+        v = value(word, b)
         stride = params.p * weight
         for m in accepted_residues(params, label[z], b):
             rem.update(range(v + m * weight, p, stride))
@@ -350,7 +350,7 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
             q, k, last, canonical = stack.pop()
             word[k:] = last
             if canonical and flags[q] != pz0[q]:
-                mismatches.append(_word_value(word, b))
+                mismatches.append(value(word, b))
             row = q * b
             k = len(word)
             if deep[trans[row]]:
@@ -361,16 +361,6 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
                     stack.append((t, k, (a,), True))
     mismatches.sort()
     return _with_least_period(p, frozenset(rem), mismatches)
-
-
-def _word_value(word: list[int], b: int) -> int:
-    """The value of a word read least significant digit first, by pairwise
-    merging: O(M(L) log L) for L digits, not Horner's O(L^2)."""
-    vals, scale = word, b
-    while len(vals) > 1:
-        vals = [lo + hi * scale for lo, hi in zip(vals[::2], vals[1::2] + [0])]
-        scale *= scale
-    return vals[0] if vals else 0
 
 
 def decide(dfa: Dfa) -> DecisionResult:

@@ -34,17 +34,20 @@ DEFAULT_STATE_LIMIT = 10**6
 
 
 def value(word: Sequence[int], base: int) -> int:
-    """Value of a digit word read least significant digit first."""
+    """Value of a digit word read least significant digit first, by
+    pairwise merging: O(M(L) log L) for L digits, where a weight multiplied
+    up digit by digit costs O(L^2)."""
     if base < 2:
         raise BaseTooSmall(f"base {base} < 2")
-    total = 0
-    weight = 1
-    for a in word:
-        if not 0 <= a < base:
-            raise BadDigit(f"digit {a} out of range (base {base})")
-        total += a * weight
-        weight *= base
-    return total
+    vals = list(word)
+    if vals and (min(vals) < 0 or max(vals) >= base):
+        a = next(a for a in vals if not 0 <= a < base)
+        raise BadDigit(f"digit {a} out of range (base {base})")
+    scale = base
+    while len(vals) > 1:
+        vals = [lo + hi * scale for lo, hi in zip(vals[::2], vals[1::2] + [0])]
+        scale *= scale
+    return vals[0] if vals else 0
 
 
 def representation(n: int, base: int) -> tuple[int, ...]:

@@ -220,7 +220,8 @@ import gc, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 from test_automaton import SETTLES, redundant_product
 from test_decision import base_power_dfa
-from updfa import automaton, decide, minimize
+from updfa import Dfa, automaton, decide, minimize
+from updfa.cli import bench_automaton
 from updfa.decision import _conditions, _read_parameters
 
 def extract(minimal):
@@ -228,12 +229,15 @@ def extract(minimal):
     return lambda: _read_parameters(minimal, verified)
 
 products = [redundant_product(SETTLES, copies) for copies in (81, 807)]
-chains = [base_power_dfa(e, 2) for e in (10**4, 10**5)]
-runs = [lambda d=d: decide(d) for d in products + chains]
-runs += [extract(minimize(d)) for d in chains]
+groups = [bench_automaton(p, 2) for p in (10007, 100003)]
+chains = [Dfa(2, n, 0, [min(s + 1, n - 1) for s in range(n) for _ in range(2)],
+              frozenset({n - 1})) for n in (10**4, 10**5)]
+powers = [base_power_dfa(e, 2) for e in (10**4, 10**5)]
+runs = [lambda d=d: decide(d) for d in products + groups + chains + powers]
+runs += [extract(minimize(d)) for d in powers]
 tail = automaton._hopcroft
-automaton._hopcroft = None  # the products settle in Moore rounds
-assert all(decide(d).ultimately_periodic for d in products)
+automaton._hopcroft = None  # the products and the group family settle in Moore rounds
+assert all(decide(d).ultimately_periodic for d in products + groups)
 automaton._hopcroft = tail
 times = [[] for _ in runs]
 gc.disable()
@@ -247,8 +251,9 @@ print(*(int(statistics.median(s)) for s in times))
 
 
 def test_decide_scaling():
-    # decide end to end at 10^4 and 10^5 states on two families no other
-    # gate times whole: a redundant product that Moore rounds settle, and
+    # decide end to end at 10^4 and 10^5 states: a redundant product and
+    # the group automaton of {0} + pN, which Moore rounds settle; the chain
+    # of test_minimize_chain_scaling, which the Hopcroft tail finishes; and
     # the 0-chain of 2^e * N, whose extraction alone is timed as well,
     # since the decide ratio hides it; O(bn log n) is about 12x per decade,
     # a quadratic extraction about 100x.  Measured in a fresh interpreter,
@@ -261,9 +266,8 @@ def test_decide_scaling():
     )
     assert proc.returncode == 0, proc.stderr
     medians = list(map(int, proc.stdout.split()))
-    for name, small, large in zip(
-        ("redundant product", "2^e * N", "2^e * N extraction"), medians[::2], medians[1::2]
-    ):
+    names = ("redundant product", "group automaton", "chain", "2^e * N", "2^e * N extraction")
+    for name, small, large in zip(names, medians[::2], medians[1::2]):
         ratio = large / small
         assert ratio <= 20, f"{name}: decade ratio {ratio:.2f} exceeds 20 ({small}, {large} ns)"
 

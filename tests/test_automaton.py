@@ -583,6 +583,26 @@ def test_parse_rejects_states_beyond_the_input():
     assert parse_dfa(limit).state_count == 27
 
 
+@pytest.mark.parametrize("base", [10_000_000, 2_000_000_000])
+def test_parse_rejects_a_table_beyond_the_input(base):
+    # a one-state header over a huge alphabet declares states x base table
+    # entries that no trans line fills: refused before the table (40 MB
+    # and 8 GB here) exists, on the line that completes the pair
+    for text in (f"base {base}\nstates 1\ninitial 0\n", f"states 1\nbase {base}\ninitial 0\n"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as exc:
+                parse_dfa(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (
+            f"line 2: states 1 x base {base} = {base} table entries"
+            " exceed the limit of 1048576"
+        )
+        assert peak < 100_000
+
+
 def test_parse_large_base_costs_the_table_only():
     # a row of 10^6 digits is longer than the block: the bulk path names
     # each line's indices instead of building one numeral per digit
@@ -713,8 +733,9 @@ def test_hopcroft_tail_from_every_moore_round():
         cols = [d.transitions[a :: d.base] for a in range(d.base)]
         rounds = moore_rounds(d)
         fixpoint = rounds[-1]
-        for prev, cls in zip([[0] * d.state_count] + rounds, rounds):
-            assert dense(automaton._hopcroft(cols, list(cls), prev)) == fixpoint
+        for cls in rounds:
+            # blocks may be named by any ints, here in reverse order
+            assert dense(automaton._hopcroft(cols, [-c for c in cls])) == fixpoint
 
 
 def redundant_product(g, copies):

@@ -42,6 +42,7 @@ from test_automaton import (
     powers_of_two_dfa,
     random_dfa,
     random_multi_orbit_group_dfa,
+    redundant_product,
 )
 
 
@@ -410,6 +411,44 @@ def base_power_dfa(e: int, base: int) -> Dfa:
         trans[(e, a)] = e
         trans[(sink, a)] = sink
     return Dfa.from_map(base, e + 2, 0, trans, range(e + 1))
+
+
+# the minimal automaton of ({0, 1, 2} + 5N) xor {21} in base 2, 17 states;
+# Moore rounds on its 3-fold redundant product reach the final partition in
+# their third round that grows the block count by half or less, and the
+# next round confirms it
+SETTLES_LATE = build_minimal_automaton(UpSet.from_parts(5, [0, 1, 2], [21]), 2)
+
+
+def test_moore_rounds_that_settle_skip_the_tail(monkeypatch):
+    # the group family's rounds give 2, 3, 5, 9, ... blocks, and a run one
+    # round short of its fixpoint confirms it by Moore: neither builds the
+    # Hopcroft tail
+    want = minimize(SETTLES_LATE)
+    monkeypatch.setattr(updfa.automaton, "_hopcroft", None)  # must not be reached
+    assert minimize(updfa.cli.bench_automaton(10007, 2)).state_count == 10007
+    assert minimize(redundant_product(SETTLES_LATE, 3)) == want
+
+
+def test_chains_reach_the_tail(monkeypatch):
+    # a chain splits off one state per Moore round, so Moore alone would
+    # take n rounds: the chain and the 0-chain of 2^e * N hand over
+    tails = []
+    tail = updfa.automaton._hopcroft
+
+    def counted_tail(*args):
+        tails.append(args)
+        return tail(*args)
+
+    monkeypatch.setattr(updfa.automaton, "_hopcroft", counted_tail)
+    n = 1000
+    chain = Dfa(
+        2, n, 0, [min(s + 1, n - 1) for s in range(n) for _ in range(2)], frozenset({n - 1})
+    )
+    for dfa in (chain, base_power_dfa(n, 2)):
+        tails.clear()
+        assert minimize(dfa).state_count == dfa.state_count
+        assert len(tails) == 1
 
 
 def test_extract_base_power_period_is_linear():

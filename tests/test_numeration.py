@@ -59,6 +59,38 @@ def test_value_rejects_bad_digits():
         value((0,), 1)
 
 
+VALUE_SCALING_BENCH = """
+import gc, random, statistics, time
+from updfa import value
+rng = random.Random(1)
+words = [[rng.randrange(2) for _ in range(n)] for n in (10**4, 10**5)]
+times = [[] for _ in words]
+gc.disable()
+for _ in range(5):
+    for word, samples in zip(words, times):
+        t0 = time.perf_counter_ns()
+        value(word, 2)
+        samples.append(time.perf_counter_ns() - t0)
+print(*(int(statistics.median(s)) for s in times))
+"""
+
+
+def test_value_scaling():
+    # pairwise merging costs 8-17x per decade of digits here, a growing
+    # weight multiplied in digit by digit 75-90x; measured in a fresh
+    # interpreter, repeats round-robin over the sizes
+    proc = subprocess.run(
+        [sys.executable, "-c", VALUE_SCALING_BENCH],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    small, large = map(int, proc.stdout.split())
+    ratio = large / small
+    assert ratio <= 40, f"decade ratio {ratio:.2f} exceeds 40 ({small}, {large} ns)"
+
+
 def test_representation_has_no_trailing_zero():
     assert representation(0, 2) == ()
     assert representation(1, 2) == (1,)
