@@ -45,7 +45,6 @@ from .numeration import (
     UpSet,
     build_minimal_automaton,
     delta,
-    delta_word,
     format_upset,
     h_p,
     membership,
@@ -96,7 +95,6 @@ __all__ = [
     "condensation",
     "decide",
     "delta",
-    "delta_word",
     "extract_parameters",
     "format_params",
     "format_upset",

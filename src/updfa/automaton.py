@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, count, repeat
 from operator import floordiv, mod
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BadDigit,
@@ -119,13 +119,6 @@ class Dfa:
         for q in self.finals:
             flags[q] = 1
         return bytes(flags)
-
-    def transition_items(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (state, digit, target) for every defined transition."""
-        b = self.base
-        for i, t in enumerate(self.transitions):
-            if t != MISSING:
-                yield i // b, i % b, t
 
 
 def _permutes(col: Sequence[int]) -> bool:
@@ -410,6 +403,9 @@ def condensation(dfa: Dfa) -> Condensation:
     """Tarjan SCC partition plus digit-type classification, O(base * n).
 
     Sccs are numbered in emission order, which is reverse topological.
+    Each digit's column is then read once, as the set of distinct (scc,
+    successor scc) pairs it induces: a pair (c, c) is an internal
+    transition of c, any other pair an edge of the component graph.
     One algorithm serves every automaton; the decision never needs it on a
     minimal group automaton, which is a single scc (see
     decision._conditions).
@@ -505,39 +501,26 @@ def condensation(dfa: Dfa) -> Condensation:
     # assigned value n + c maps to emission-order id (2n - 1) - (n + c)
     scc_of = array("i", map((2 * n - 1).__sub__, rindex))
 
+    # inside[c] has bit 1 if c has an internal 0-transition and bit 2 if
+    # it has one by a positive digit; ext ends in a -1 sentinel, so a
+    # missing target reads as no scc and a partial automaton classifies too
     k = len(scc_members)
-    has_zero = bytearray(k)
-    has_positive = bytearray(k)
+    inside = bytearray(k)
     desc: list[set[int]] = [set() for _ in range(k)]
-    for s in range(n):
-        c = scc_of[s]
-        row = s * b
-        for a in range(b):
-            t = trans[row + a]
-            if t == MISSING:
-                continue
-            c2 = scc_of[t]
+    ext = scc_of + array("i", (MISSING,))
+    for a in range(b):
+        bit = 2 if a else 1
+        for c, c2 in set(zip(scc_of, map(ext.__getitem__, trans[a::b]))):
             if c2 == c:
-                if a == 0:
-                    has_zero[c] = 1
-                else:
-                    has_positive[c] = 1
-            else:
+                inside[c] |= bit
+            elif c2 != MISSING:
                 desc[c].add(c2)
-
-    types = []
-    for c in range(k):
-        if has_positive[c]:
-            types.append(SccType.TYPE_ONE)
-        elif has_zero[c]:
-            types.append(SccType.TYPE_TWO)
-        else:
-            types.append(SccType.TRIVIAL)
+    kinds = (SccType.TRIVIAL, SccType.TYPE_TWO, SccType.TYPE_ONE, SccType.TYPE_ONE)
 
     return Condensation(
         scc_of=scc_of,
         scc_members=tuple(scc_members),
-        scc_type=tuple(types),
+        scc_type=tuple(map(kinds.__getitem__, inside)),
         descendants=tuple(frozenset(d) for d in desc),
     )
 
@@ -754,6 +737,8 @@ def write_dfa(dfa: Dfa) -> str:
     ]
     if dfa.finals:
         lines.append("final " + " ".join(str(q) for q in sorted(dfa.finals)))
-    for q, a, q2 in dfa.transition_items():
-        lines.append(f"trans {q} {a} {q2}")
+    b = dfa.base
+    for i, t in enumerate(dfa.transitions):
+        if t != MISSING:
+            lines.append(f"trans {i // b} {i % b} {t}")
     return "\n".join(lines) + "\n"

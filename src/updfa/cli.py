@@ -153,9 +153,9 @@ def cmd_info(args) -> int:
             "pascal_failure": None,
         }
         if cond.scc_type[c].value == "TypeOne" and comp:
-            atomic, diag = _check_atomic_scc(dfa, cond, c)
-            if atomic is not None:
-                quotients[c] = params = atomic.params
+            check, diag = _check_atomic_scc(dfa, cond, c)
+            if check is not None:
+                quotients[c] = params = check.params
                 entry["pascal"] = {
                     "p": params.p,
                     "remainders": sorted(params.remainders),

@@ -13,9 +13,10 @@ significant digit first) iff
 
 Minimality itself (UP1) is trusted, not re-verified; decide() minimizes
 first so its callers need not care.  On success the accepted set is read
-off in canonical form from what the checks established: the quotient
-labelling of every positive-digit scc, the embedding of every 0-circuit,
-and a handful of equations per transient state (see _read_parameters).
+off in canonical form from what the checks established, recorded once per
+state: the quotient parameters and label of every positive-digit state,
+the embedding image of every 0-circuit state, and a handful of equations
+per transient state (see _read_parameters).
 Nothing is sampled or rebuilt, and since every fact used is an equation
 checked on the automaton, a positive answer is never wrong.
 """
@@ -25,12 +26,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .automaton import Condensation, Dfa, SccType, condensation, minimize
 from .errors import PreconditionViolated
 from .numeration import UpSet, _with_least_period, value
-from .pascal import PascalParams, accepted_residues, is_pascal_quotient
+from .pascal import PascalParams, QuotientCheck, accepted_residues, is_pascal_quotient
 
 # decide calls none of these; they stay bound here because the benchmark's
 # tracer (bench/spans.py) wraps the layers of a decision by their names in
@@ -71,41 +72,43 @@ class DecisionResult:
         return out
 
 
-class _Atomic(NamedTuple):
-    """A positive-digit scc that passed UP2: its quotient parameters, and
-    the quotient label of the state with global id members[i] at
-    labels[i]."""
-
-    params: PascalParams
-    labels: array
-    members: Sequence[int]
-
-
 @dataclass(frozen=True, eq=False)
 class _Verified:
-    """What _conditions computed and checked on a passing automaton, kept
-    for reading off the parameters.  `cond` is None when the whole
-    automaton is one Pascal quotient, which is then atomic[0]; `image`
-    maps every 0-circuit state to its embedding image."""
+    """The per-state facts _conditions established on a passing automaton.
 
-    cond: Condensation | None
-    atomic: dict[int, _Atomic]
-    image: dict[int, int]
+    At a positive-digit state z: rep[z] = z, its scc's quotient parameters
+    params[z] and its quotient label label[z] (see QuotientCheck); pred0
+    and pred1 invert digits 0 and 1 on these states.  At a 0-circuit state
+    x: rep[x], its embedding image.  `transient` lists every other state
+    after its transient successors; rep is -1 there until _read_parameters
+    fills it in.  `period` is p_c, the lcm of the quotient periods.  A
+    group automaton is one quotient: rep is range(n), nothing is
+    transient, and pred0 and pred1, which serve only 0-circuit and
+    transient states, stay empty.
+    """
+
+    period: int
+    params: list[PascalParams | None]
+    label: array
+    rep: Sequence[int]
+    pred0: array
+    pred1: array
+    transient: Sequence[int]
 
 
 def _check_atomic_scc(
     dfa: Dfa, cond: Condensation, c: int
-) -> tuple[_Atomic | None, str | None]:
+) -> tuple[QuotientCheck | None, str | None]:
     """UP2 on the positive-digit scc c of a complete automaton: closure,
     which holds iff c has no successor scc, then the Pascal-quotient test
-    on its own columns."""
+    on its own columns.  The labels of a passing check are indexed by
+    position in cond.scc_members[c]."""
     if cond.descendants[c]:
         return None, "transitions leave the scc"
-    members = cond.scc_members[c]
-    check = is_pascal_quotient(dfa, members)
+    check = is_pascal_quotient(dfa, cond.scc_members[c])
     if check.params is None:
         return None, check.failure.value
-    return _Atomic(check.params, check.labels, members), None
+    return check, None
 
 
 def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
@@ -135,13 +138,19 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
         check = is_pascal_quotient(dfa)
         if not check.accepted:
             return ConditionFailure("UP2", 0, check.failure.value), None
-        atomic = _Atomic(check.params, check.labels, range(n))
-        return None, _Verified(None, {0: atomic}, {})
+        params = [check.params] * n
+        none = array("i")
+        return None, _Verified(check.params.p, params, check.labels, range(n), none, none, ())
 
     cond = condensation(dfa)
     types = cond.scc_type
 
+    # scc ids are reverse topological, so the trivial sccs met in id order
+    # list the transient states successors first
+    transient = []
     for c in range(cond.count):
+        if types[c] is SccType.TRIVIAL:
+            transient.append(cond.scc_members[c][0])
         if types[c] is not SccType.TYPE_TWO:
             continue
         desc = cond.descendants[c]
@@ -153,33 +162,40 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
             diag = "successor scc is not a positive-digit scc"
             return ConditionFailure("UP3", c, diag), None
 
-    atomic = {}
+    # digits 0 and 1 permute every positive-digit scc that passes UP2, so
+    # each of its states has exactly one 0- and one 1-predecessor among
+    # the scc's own members
+    trans = dfa.transitions
+    params: list[PascalParams | None] = [None] * n
+    label = array("i", (0,)) * n
+    rep = array("i", (-1,)) * n
+    pred0 = array("i", (-1,)) * n
+    pred1 = array("i", (-1,)) * n
+    period = 1
     for c in range(cond.count):
         if types[c] is not SccType.TYPE_ONE:
             continue
-        found, diag = _check_atomic_scc(dfa, cond, c)
-        if found is None:
+        check, diag = _check_atomic_scc(dfa, cond, c)
+        if check is None:
             return ConditionFailure("UP2", c, diag), None
-        atomic[c] = found
-
-    # digit 1 permutes every accepted positive-digit scc, so each of their
-    # states has exactly one 1-predecessor among the scc's own members
-    trans = dfa.transitions
-    pred1 = array("i", (-1,)) * n
-    for found in atomic.values():
-        for z in found.members:
+        period = math.lcm(period, check.params.p)
+        for z, lab in zip(cond.scc_members[c], check.labels):
+            params[z] = check.params
+            label[z] = lab
+            rep[z] = z
+            pred0[trans[z * b]] = z
             pred1[trans[z * b + 1]] = z
 
-    image: dict[int, int] = {}
     for c in range(cond.count):
         if types[c] is not SccType.TYPE_TWO:
             continue
         f = build_embedding(dfa, cond.scc_members[c], pred1)
         if f is None:
             return ConditionFailure("UP4", c, "no embedding into the successor scc"), None
-        image.update(f)
+        for x, fx in f.items():
+            rep[x] = fx
 
-    return None, _Verified(cond, atomic, image)
+    return None, _Verified(period, params, label, rep, pred0, pred1, transient)
 
 
 def check_conditions(dfa: Dfa) -> DecisionResult:
@@ -245,8 +261,8 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
     Write P_q for the purely periodic set that q's set agrees with from
     some point on.  A positive-digit state z accepts a purely periodic set
     with period coprime to b, fixed by its quotient label; a 0-circuit
-    state x accepts the set of its image f(x), up to 0.  One pass over the
-    sccs, successors first, gives every transient state q
+    state x accepts the set of its image rep(x), up to 0.  One pass over
+    the transient states, successors first, gives each of them
 
       rep(q)  the positive-digit state accepting P_q, if there is one: it
               can only be the z with z.0 = rep(q.0), and it is z exactly
@@ -255,71 +271,53 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
               b in the period of P_q;
       pz0(q)  whether 0 is in P_q: final(rep(q)), else pz0(q.0).
 
-    Then p = p_c * b^ex(initial), R is the union of the residues of the
+    Every other state has a representative, so ex is 0 and pz0 is the
+    finality of rep there.  rep(q) goes into the transient slots of
+    verified.rep, so a second reading gives the same answer.  Then p =
+    p_c * b^ex(initial), R is the union of the residues of the
     representatives the descent from the initial state reaches, each
     spread over the stride of the word that reached it, and n is a
-    mismatch iff its canonical word leads to a state q with
-    final(q) != pz0(q).  Every fact
-    used is an equation checked on the automaton, so the answer is right
-    even when the automaton is not minimal; only p may then need reducing
-    to the least period, which the last step does anyway.
+    mismatch iff its canonical word leads to a state q with final(q) !=
+    pz0(q).  Every fact used is an equation checked on the automaton, so
+    the answer is right even when the automaton is not minimal; only p may
+    then need reducing to the least period, which the last step does
+    anyway.
     """
     b = dfa.base
     init = dfa.initial
-    cond, atomic = verified.cond, verified.atomic
-    p_c = math.lcm(*(found.params.p for found in atomic.values()))
-    if cond is None:
-        (whole,) = atomic.values()
-        rem = accepted_residues(whole.params, whole.labels[init], b)
-        return _with_least_period(p_c, rem, [])
-
     n = dfa.state_count
     trans = dfa.transitions
     flags = dfa._final_bytes
-    image = verified.image
-    rep = array("i", (-1,)) * n
-    pred0 = array("i", (-1,)) * n
+    rep, pred0, label = verified.rep, verified.pred0, verified.label
     ex = array("i", (0,)) * n
+    # pz0 of the transient states without a representative
     pz0 = bytearray(n)
     # deep[q]: a nonempty word ending in a positive digit leads from q to
     # a state that disagrees with its pz0; only transient states have one
     deep = bytearray(n)
-    label = array("i", (0,)) * n
-    for c, members in enumerate(cond.scc_members):
-        found = atomic.get(c)
-        if found is not None:
-            for z, lab in zip(found.members, found.labels):
-                rep[z] = z
-                pred0[trans[z * b]] = z
-                pz0[z] = flags[z]
-                label[z] = lab
-            continue
-        if cond.scc_type[c] is SccType.TYPE_TWO:
-            for x in members:
-                rep[x] = image[x]
-                pz0[x] = flags[image[x]]
-            continue
-        (q,) = members
+
+    def off(q: int) -> bool:
+        """Whether q disagrees on finality with its pz0."""
+        z = rep[q]
+        return flags[q] != (flags[z] if z != -1 else pz0[q])
+
+    for q in verified.transient:
         row = q * b
         succ = trans[row : row + b]
-        z = rep[succ[0]]
-        if z != -1:
-            z = pred0[z]
+        z0 = rep[succ[0]]
+        z = pred0[z0] if z0 != -1 else -1
         if z != -1 and all(trans[z * b + a] == rep[succ[a]] for a in range(1, b)):
             rep[q] = z
-            pz0[q] = flags[z]
         else:
             ex[q] = 1 + max(map(ex.__getitem__, succ))
-            pz0[q] = pz0[succ[0]]
-        deep[q] = deep[succ[0]] or any(
-            deep[t] or flags[t] != pz0[t] for t in succ[1:]
-        )
+            pz0[q] = flags[z0] if z0 != -1 else pz0[succ[0]]
+        deep[q] = deep[succ[0]] or any(deep[t] or off(t) for t in succ[1:])
 
     # descend until a representative answers, and spread its residues
     # over the stride of R that the word read so far selects; b^length and
     # the word's value are built only there and at mismatches, so a long
     # 0-chain above an empty sink costs no big-int arithmetic
-    p = p_c * b ** ex[init]
+    p = verified.period * b ** ex[init]
     rem: set[int] = set()
     word: list[int] = []  # the digits read to the state popped last
     stack = [(init, 0, ())]  # state, and the word to it as word[:k] + last
@@ -332,7 +330,7 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
             k = len(word)
             stack.extend((trans[row + a], k, (a,)) for a in range(b))
             continue
-        params = atomic[cond.scc_of[z]].params
+        params = verified.params[z]
         if not params.remainders:
             continue
         weight = b ** len(word)
@@ -344,12 +342,12 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
     # only words that end in a positive digit (or the empty word) are
     # canonical expansions; prune to the states a mismatch lies below
     mismatches = []
-    if deep[init] or flags[init] != pz0[init]:
+    if deep[init] or off(init):
         stack = [(init, 0, (), True)]  # ..., whether the word is canonical
         while stack:
             q, k, last, canonical = stack.pop()
             word[k:] = last
-            if canonical and flags[q] != pz0[q]:
+            if canonical and off(q):
                 mismatches.append(value(word, b))
             row = q * b
             k = len(word)
@@ -357,7 +355,7 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
                 stack.append((trans[row], k, (0,), False))
             for a in range(1, b):
                 t = trans[row + a]
-                if deep[t] or flags[t] != pz0[t]:
+                if deep[t] or off(t):
                     stack.append((t, k, (a,), True))
     mismatches.sort()
     return _with_least_period(p, frozenset(rem), mismatches)

@@ -200,12 +200,6 @@ def delta(s: UpSet, a: int, base: int) -> UpSet:
     return _with_least_period(p2, rem2, mis2)
 
 
-def delta_word(s: UpSet, word: Sequence[int], base: int) -> UpSet:
-    for a in word:
-        s = delta(s, a, base)
-    return s
-
-
 def build_minimal_automaton(
     s: UpSet, base: int, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> Dfa:

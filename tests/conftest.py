@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from updfa import Dfa, UpSet
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 CORPUS_SEED = 20260814
 CORPUS_BASES = (2, 3)
@@ -71,6 +75,15 @@ def build_corpus() -> list[UpSet]:
 
 
 _CORPUS = build_corpus()
+
+
+def subprocess_env() -> dict[str, str]:
+    """This environment with src/ first on PYTHONPATH, so that a child
+    interpreter imports the package from this checkout, as pytest does
+    through its own `pythonpath` setting, without an install."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,7 @@ from updfa import (
     minimize,
 )
 
-from conftest import language_table, membership_table
+from conftest import language_table, membership_table, subprocess_env
 from oracle import brute_decide
 from test_automaton import EVEN_ONES, powers_of_two_dfa
 
@@ -170,6 +170,7 @@ def test_criterion_09_linear_scaling():
         proc = subprocess.run(
             [sys.executable, "-m", "updfa.cli", "bench", *sizes, "--repeats", "9"],
             capture_output=True,
+            env=subprocess_env(),
             text=True,
         )
     assert proc.returncode == 0, proc.stderr
@@ -206,6 +207,7 @@ def test_minimize_chain_scaling():
     proc = subprocess.run(
         [sys.executable, "-c", CHAIN_MINIMIZE_BENCH],
         capture_output=True,
+        env=subprocess_env(),
         text=True,
         timeout=120,
     )
@@ -261,6 +263,7 @@ def test_decide_scaling():
     proc = subprocess.run(
         [sys.executable, "-c", DECIDE_SCALING_BENCH, str(Path(__file__).parent)],
         capture_output=True,
+        env=subprocess_env(),
         text=True,
         timeout=300,
     )

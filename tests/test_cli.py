@@ -22,6 +22,7 @@ from updfa import (
 )
 from updfa.cli import bench_automaton, main
 
+from conftest import subprocess_env
 from test_automaton import EVEN_ONES, powers_of_two_dfa
 from test_decision import base_power_dfa, up4_instance
 
@@ -421,6 +422,7 @@ def test_decide_command_scaling(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", CLI_SCALING_BENCH, *paths],
         capture_output=True,
+        env=subprocess_env(),
         text=True,
         timeout=300,
     )
@@ -460,6 +462,7 @@ def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "updfa.cli", "decide", path],
         capture_output=True,
+        env=subprocess_env(),
         text=True,
     )
     assert proc.returncode == 0

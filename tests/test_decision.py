@@ -35,6 +35,7 @@ from updfa import (
 )
 from updfa.errors import PreconditionViolated
 
+from conftest import subprocess_env
 from oracle import brute_decide, characteristic_prefix
 from test_acceptance import Budget
 from test_automaton import (
@@ -264,7 +265,7 @@ def test_scc_quotient_test_matches_a_sub_automaton():
             found, diag = updfa.decision._check_atomic_scc(d, cond, c)
             got = (None, diag, {})
             if found is not None:
-                got = (found.params, None, dict(zip(found.members, found.labels)))
+                got = (found.params, None, dict(zip(cond.scc_members[c], found.labels)))
             assert got == sub_automaton_check(d, cond.scc_members[c]), (d, c)
             seen[diag] = seen.get(diag, 0) + 1
     # every outcome occurs, and most sccs pass
@@ -352,6 +353,7 @@ def test_up4_scaling_many_circuits_into_one_scc():
     proc = subprocess.run(
         [sys.executable, "-c", UP4_SCALING_BENCH],
         capture_output=True,
+        env=subprocess_env(),
         text=True,
         timeout=120,
     )
@@ -601,6 +603,91 @@ def test_decide_computes_each_fact_once(monkeypatch):
     assert calls["condensation"] == 0
     assert calls["accepts"] == calls["isomorphic"] == 0
     assert calls["build_minimal_automaton"] == 0
+
+
+def check_certificate(dfa: Dfa, v) -> None:
+    """Check the per-state facts _conditions returns against the automaton
+    by local equations, O(b) per state: the quotient equations and
+    finality at every positive-digit state, the inverse digits 0 and 1
+    there, the embedding equations at every 0-circuit state, and the
+    order of the transient states."""
+    n, b, trans = dfa.state_count, dfa.base, dfa.transitions
+    flags = dfa._final_bytes
+    transient = list(v.transient)
+    pos = dict(zip(transient, range(len(transient))))
+    assert len(pos) == len(transient)
+    positive = [z for z in range(n) if v.params[z] is not None]
+    assert v.period == math.lcm(*(v.params[z].p for z in positive))
+    # pred0 and pred1 serve only 0-circuit and transient states; the group
+    # path, which has neither, leaves them empty
+    preds = (v.pred0, v.pred1) if len(v.pred0) else ()
+    assert preds or not transient
+    for z in positive:
+        prm = v.params[z]
+        p, h, k = prm.p, prm.h, prm.k
+        s, t = divmod(v.label[z], k)
+        assert v.rep[z] == z and z not in pos
+        assert flags[z] == (s in prm.remainders)
+        for a in range(b):
+            y = trans[z * b + a]
+            s2 = (s + a * pow(b, t, p)) % p
+            want = s2 * k + t + 1 if t < k - 1 else (s2 - h) * pow(b, -k, p) % p * k
+            assert v.params[y] is prm and v.label[y] == want
+        for a, pred in enumerate(preds):
+            assert pred[trans[z * b + a]] == z
+    for x in range(n):
+        if v.params[x] is not None or x in pos:
+            continue
+        fx = v.rep[x]
+        assert v.params[fx] is not None
+        x0 = trans[x * b]
+        assert v.params[x0] is None and x0 not in pos
+        assert v.rep[x0] == trans[fx * b]
+        assert trans[x * b + 1 : x * b + b] == trans[fx * b + 1 : fx * b + b]
+    for q in transient:
+        assert v.params[q] is None and v.rep[q] == -1
+        assert all(pos.get(t, -1) < pos[q] for t in trans[q * b : q * b + b])
+
+
+def test_conditions_certify_their_facts_locally(corpus_instances):
+    # passing automata in bases 2, 3, 4, 6 and 10: minimal automata of
+    # random ultimately periodic sets, the minimized ones of a transition
+    # or finality flag of those mutated, and group automata; then the
+    # whole corpus
+    rng = random.Random(20261020)
+    dfas = []
+    while len(dfas) < 600:
+        base = rng.choice((2, 3, 4, 6, 10))
+        kind = len(dfas) % 3
+        if kind < 2:
+            p = rng.randint(1, 12) * base ** rng.randint(0, 1)
+            rem = [r for r in range(p) if rng.random() < 0.4]
+            mis = rng.sample(range(60), rng.randint(0, 3))
+            d = build_minimal_automaton(UpSet.from_parts(p, rem, mis), base)
+        if kind == 1:
+            n = d.state_count
+            trans, finals = list(d.transitions), set(d.finals)
+            if rng.random() < 0.5:
+                trans[rng.randrange(n * base)] = rng.randrange(n)
+            else:
+                finals ^= {rng.randrange(n)}
+            d = minimize(Dfa(base, n, d.initial, trans, finals))
+        elif kind == 2:
+            p = rng.choice([q for q in range(1, 40) if math.gcd(q, base) == 1])
+            d = minimize(build_pascal(p, [r for r in range(p) if rng.random() < 0.5], base))
+        if check_conditions(d).ultimately_periodic:
+            dfas.append(d)
+    dfas += [build_minimal_automaton(s, b) for s, b in corpus_instances]
+    groups = transients = circuits = 0
+    for d in dfas:
+        failure, verified = updfa.decision._conditions(d)
+        assert failure is None
+        check_certificate(d, verified)
+        groups += d.is_group
+        transients += bool(verified.transient)
+        circuits += verified.params.count(None) > len(verified.transient)
+    # every shape of certificate occurs often
+    assert groups > 200 and transients > 1000 and circuits > 1000
 
 
 def test_decide_total_on_partial_input():

@@ -19,7 +19,6 @@ from updfa import (
     accepts,
     build_minimal_automaton,
     delta,
-    delta_word,
     format_upset,
     h_p,
     isomorphic,
@@ -36,7 +35,7 @@ from updfa.errors import (
     StateLimitExceeded,
 )
 
-from conftest import language_table, membership_table
+from conftest import language_table, membership_table, subprocess_env
 
 
 # ---------------------------------------------------------------- value
@@ -82,6 +81,7 @@ def test_value_scaling():
     proc = subprocess.run(
         [sys.executable, "-c", VALUE_SCALING_BENCH],
         capture_output=True,
+        env=subprocess_env(),
         text=True,
         timeout=60,
     )
@@ -246,6 +246,7 @@ def test_from_parts_factors_no_more_than_the_residues_need():
     proc = subprocess.run(
         [sys.executable, "-c", HUGE_PRIME_PERIOD],
         capture_output=True,
+        env=subprocess_env(),
         text=True,
         timeout=20,
     )
@@ -326,6 +327,12 @@ def test_delta_period_divides_reduced_period(corpus_sample):
             reduced = s.period // math.gcd(s.period, base)
             for a in range(base):
                 assert reduced % delta(s, a, base).period == 0
+
+
+def delta_word(s: UpSet, word, base: int) -> UpSet:
+    for a in word:
+        s = delta(s, a, base)
+    return s
 
 
 def test_delta_word_composes():
