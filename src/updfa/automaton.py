@@ -99,7 +99,7 @@ class Dfa:
     def is_zero_stable(self) -> bool:
         """True iff every state and its 0-successor agree on finality."""
         flags = self._final_bytes
-        zcol = self.transitions[0 :: self.base]
+        zcol = self.columns[0]
         if self.is_complete:
             # finality vector of the 0-successors, gathered at C speed
             return bytes(map(flags.__getitem__, zcol)) == flags
@@ -110,8 +110,18 @@ class Dfa:
         """True iff every digit acts as a permutation of the state set."""
         if not self.is_complete:
             raise PreconditionViolated("is_group_automaton requires a complete automaton")
+        return all(map(_permutes, self.columns))
+
+    @cached_property
+    def columns(self) -> tuple[array, ...]:
+        """The successor column of every digit: columns[a][s] is s.a.
+
+        Packing a column densely halves the randomly touched footprint of
+        every walk over it compared to striding through the table, and
+        caching them lets a test of a few states read them in O(1).
+        """
         b = self.base
-        return all(_permutes(self.transitions[a::b]) for a in range(b))
+        return tuple(self.transitions[a::b] for a in range(b))
 
     @cached_property
     def _final_bytes(self) -> bytes:
@@ -121,12 +131,15 @@ class Dfa:
         return bytes(flags)
 
 
-def _permutes(col: Sequence[int]) -> bool:
-    """True iff a column of n targets in [0, n) is a permutation.
+def _permutes(col: array, states: Sequence[int] | None = None) -> bool:
+    """True iff the column `col` maps `states`, all states by default,
+    one-to-one: on a set that `col` maps into itself, iff it permutes it.
 
-    They are iff distinct: a set counts them at C speed, a chunk at a
-    time, so a collision ends the scan.
+    The targets are distinct iff a set counts as many: it counts them at
+    C speed, a chunk at a time, so a collision ends the scan.
     """
+    if states is not None:
+        col = array("i", map(col.__getitem__, states))
     n, seen = len(col), set()
     for lo in range(0, n, 4096):
         seen.update(col[lo : lo + 4096])
@@ -235,9 +248,9 @@ def minimize(dfa: Dfa) -> Dfa:
     numbered in BFS order from the initial state.
     """
     dfa = complete(dfa)
-    b, trans = dfa.base, dfa.transitions
-    cls = _moore([trans[a::b] for a in range(b)], dfa._final_bytes)
-    flat, reps = _bfs(trans, b, dfa.initial, cls)
+    b = dfa.base
+    cls = _moore(dfa.columns, dfa._final_bytes)
+    flat, reps = _bfs(dfa.transitions, b, dfa.initial, cls)
     finals = compress(range(len(reps)), map(dfa._final_bytes.__getitem__, reps))
     return Dfa(b, len(reps), 0, flat, frozenset(finals))
 
@@ -275,7 +288,7 @@ def _least_names(keys: Iterable) -> tuple[list[int], int]:
     return list(map(ids.setdefault, keys, count())), len(ids)
 
 
-def _moore(cols: list[array], flags: bytes) -> list[int]:
+def _moore(cols: Sequence[array], flags: bytes) -> list[int]:
     """Block of each state in the coarsest partition that is finer than
     `flags` and stable under every column, named by its least state.
 
@@ -303,7 +316,7 @@ def _moore(cols: list[array], flags: bytes) -> list[int]:
     return cls
 
 
-def _hopcroft(cols: list[array], cls: Sequence[int]) -> list[int]:
+def _hopcroft(cols: Sequence[array], cls: Sequence[int]) -> list[int]:
     """The coarsest refinement of `cls` stable under every column, as
     dense block ids.
 
@@ -508,9 +521,9 @@ def condensation(dfa: Dfa) -> Condensation:
     inside = bytearray(k)
     desc: list[set[int]] = [set() for _ in range(k)]
     ext = scc_of + array("i", (MISSING,))
-    for a in range(b):
+    for a, col in enumerate(dfa.columns):
         bit = 2 if a else 1
-        for c, c2 in set(zip(scc_of, map(ext.__getitem__, trans[a::b]))):
+        for c, c2 in set(zip(scc_of, map(ext.__getitem__, col))):
             if c2 == c:
                 inside[c] |= bit
             elif c2 != MISSING:

@@ -19,8 +19,8 @@ import time
 import traceback
 from pathlib import Path
 
-from .automaton import Dfa, condensation, minimize, parse_dfa, write_dfa
-from .decision import _check_atomic_scc, check_conditions, decide
+from .automaton import Dfa, SccType, condensation, minimize, parse_dfa, write_dfa
+from .decision import check_conditions, decide
 from .errors import (
     FormatError,
     NotCanonical,
@@ -29,7 +29,7 @@ from .errors import (
     UpdfaError,
 )
 from .numeration import UpSet, build_minimal_automaton, format_list, format_upset
-from .pascal import PascalParams, build_pascal, format_params
+from .pascal import PascalParams, build_pascal, format_params, is_pascal_quotient
 
 
 def _read_text(path: str) -> str:
@@ -152,9 +152,12 @@ def cmd_info(args) -> int:
             "pascal": None,
             "pascal_failure": None,
         }
-        if cond.scc_type[c].value == "TypeOne" and comp:
-            check, diag = _check_atomic_scc(dfa, cond, c)
-            if check is not None:
+        if cond.scc_type[c] is SccType.TYPE_ONE and comp:
+            # a positive-digit scc is closed iff it has no successor scc
+            check = None if cond.descendants[c] else is_pascal_quotient(dfa, members)
+            if check is None:
+                entry["pascal_failure"] = "transitions leave the scc"
+            elif check.accepted:
                 quotients[c] = params = check.params
                 entry["pascal"] = {
                     "p": params.p,
@@ -164,7 +167,7 @@ def cmd_info(args) -> int:
                     "k": params.k,
                 }
             else:
-                entry["pascal_failure"] = diag
+                entry["pascal_failure"] = check.failure.value
         sccs.append(entry)
 
     if args.json:

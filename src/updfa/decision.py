@@ -28,10 +28,16 @@ from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automaton import Condensation, Dfa, SccType, condensation, minimize
+from .automaton import Dfa, SccType, _permutes, condensation, minimize
 from .errors import PreconditionViolated
 from .numeration import UpSet, _with_least_period, value
-from .pascal import PascalParams, QuotientCheck, accepted_residues, is_pascal_quotient
+from .pascal import (
+    PascalParams,
+    QuotientFailure,
+    _check_quotient,
+    accepted_residues,
+    is_pascal_quotient,
+)
 
 # decide calls none of these; they stay bound here because the benchmark's
 # tracer (bench/spans.py) wraps the layers of a decision by their names in
@@ -77,14 +83,14 @@ class _Verified:
     """The per-state facts _conditions established on a passing automaton.
 
     At a positive-digit state z: rep[z] = z, its scc's quotient parameters
-    params[z] and its quotient label label[z] (see QuotientCheck); pred0
-    and pred1 invert digits 0 and 1 on these states.  At a 0-circuit state
-    x: rep[x], its embedding image.  `transient` lists every other state
-    after its transient successors; rep is -1 there until _read_parameters
-    fills it in.  `period` is p_c, the lcm of the quotient periods.  A
-    group automaton is one quotient: rep is range(n), nothing is
-    transient, and pred0 and pred1, which serve only 0-circuit and
-    transient states, stay empty.
+    params[z] and its quotient label label[z] (see QuotientCheck), which
+    is -1 at every other state; pred0 and pred1 invert digits 0 and 1 on
+    these states.  At a 0-circuit state x: rep[x], its embedding image.
+    `transient` lists every other state after its transient successors;
+    rep is -1 there until _read_parameters fills it in.  `period` is p_c,
+    the lcm of the quotient periods.  A group automaton is one quotient:
+    rep is range(n), nothing is transient, and pred0 and pred1, which
+    serve only 0-circuit and transient states, stay empty.
     """
 
     period: int
@@ -96,21 +102,6 @@ class _Verified:
     transient: Sequence[int]
 
 
-def _check_atomic_scc(
-    dfa: Dfa, cond: Condensation, c: int
-) -> tuple[QuotientCheck | None, str | None]:
-    """UP2 on the positive-digit scc c of a complete automaton: closure,
-    which holds iff c has no successor scc, then the Pascal-quotient test
-    on its own columns.  The labels of a passing check are indexed by
-    position in cond.scc_members[c]."""
-    if cond.descendants[c]:
-        return None, "transitions leave the scc"
-    check = is_pascal_quotient(dfa, cond.scc_members[c])
-    if check.params is None:
-        return None, check.failure.value
-    return check, None
-
-
 def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
     """UP0, the condensation, then UP3, UP2 and UP4, each run once on a
     minimal complete automaton.  Returns the first failure, or None and
@@ -120,16 +111,20 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
     is reachable, and the orbit of the initial state under permutation
     letters is forward-closed, so a minimal group automaton is one scc
     with internal positive-digit transitions: UP3 and UP4 are vacuous,
-    and UP2 is the single quotient test on the whole automaton.
+    and UP2 is the single quotient test on the whole automaton.  Otherwise
+    UP2 tests each positive-digit scc on the automaton's own columns and
+    state ids, and the test writes the scc's 0-predecessors and labels
+    straight into the arrays _Verified hands on.
     """
-    n, b = dfa.state_count, dfa.base
+    n = dfa.state_count
+    cols = dfa.columns
 
     # UP0 is zero-stability of the whole automaton; the cached check also
     # serves the quotient test later, and the witness scan only runs on
     # the failing path
     if not dfa.is_zero_stable:
         flags = dfa._final_bytes
-        succ0 = bytes(map(flags.__getitem__, dfa.transitions[0::b]))
+        succ0 = bytes(map(flags.__getitem__, cols[0]))
         s = next(i for i in range(n) if succ0[i] != flags[i])
         diag = "state and its 0-successor differ on finality"
         return ConditionFailure("UP0", s, diag), None
@@ -165,9 +160,9 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
     # digits 0 and 1 permute every positive-digit scc that passes UP2, so
     # each of its states has exactly one 0- and one 1-predecessor among
     # the scc's own members
-    trans = dfa.transitions
+    col1 = cols[1]
     params: list[PascalParams | None] = [None] * n
-    label = array("i", (0,)) * n
+    label = array("i", (-1,)) * n
     rep = array("i", (-1,)) * n
     pred0 = array("i", (-1,)) * n
     pred1 = array("i", (-1,)) * n
@@ -175,16 +170,21 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
     for c in range(cond.count):
         if types[c] is not SccType.TYPE_ONE:
             continue
-        check, diag = _check_atomic_scc(dfa, cond, c)
-        if check is None:
-            return ConditionFailure("UP2", c, diag), None
-        period = math.lcm(period, check.params.p)
-        for z, lab in zip(cond.scc_members[c], check.labels):
-            params[z] = check.params
-            label[z] = lab
+        # a positive-digit scc is closed iff it has no successor scc, and
+        # UP0 has made it zero-stable
+        if cond.descendants[c]:
+            return ConditionFailure("UP2", c, "transitions leave the scc"), None
+        members = cond.scc_members[c]
+        found = QuotientFailure.NOT_GROUP
+        if all(_permutes(col, members) for col in cols):
+            found = _check_quotient(dfa, members, min(members), pred0, label)
+        if isinstance(found, QuotientFailure):
+            return ConditionFailure("UP2", c, found.value), None
+        period = math.lcm(period, found.p)
+        for z in members:
+            params[z] = found
             rep[z] = z
-            pred0[trans[z * b]] = z
-            pred1[trans[z * b + 1]] = z
+            pred1[col1[z]] = z
 
     for c in range(cond.count):
         if types[c] is not SccType.TYPE_TWO:

@@ -6,21 +6,23 @@ transition group is the semidirect product Z/pZ x| Z/psiZ, which is why a
 second letter g (acting like reading 1 then unreading 0) together with 0
 generates everything a minimal automaton of a coprime periodic set can do.
 
-is_pascal_quotient decides in O(base * n) whether a complete DFA, or one
+is_pascal_quotient decides in O(base * m) whether a complete DFA, or one
 closed scc of it, is (up to isomorphism) a quotient of some Pascal
-automaton.  It works on one successor column per digit: the table's own
-stripes for a whole automaton, or, for an scc, its states' columns
-relabelled to positions in the scc's member list; no sub-automaton is
-built.  The root is the initial state, or the scc's least member.
+automaton, m being the number of states tested.  It works on the
+automaton's own state ids and its cached successor column per digit
+(Dfa.columns); nothing is relabelled and no sub-automaton is built.  The
+root is the initial state, or the scc's least member.  The decision runs
+steps 1-3 on each positive-digit scc itself, writing 0-predecessors and
+labels into arrays it shares across the sccs.
 
   Step 0  group automaton + zero-stability, else it cannot be one;
-  Step 1  compute the g-successor of every state as a column beside the
-          0-column, and verify that no digit carries more information
-          (s.a must equal s.g^a.0 for every state and digit);
+  Step 1  compute the g-successor of every state from the 0-predecessors
+          and the 1-column, and verify that no digit carries more
+          information (s.a must equal s.g^a.0 for every state and digit);
   Step 2  read off p, R from the g-circuit of the root and (h, k)
           from the smallest mixed circuit g^h 0^k;
-  Step 3  label every state with its forced image in A_{(h,k)} and check
-          that the labelling is an isomorphism.
+  Step 3  build the only possible map onto A_{(h,k)}, check that it is an
+          isomorphism, and label every state with its image.
 
 build_quotient returns A_{(h,k)} as an ordinary Dfa with base 2, digit 0
 meaning 0 and digit 1 meaning g.
@@ -80,13 +82,15 @@ class QuotientCheck:
     """Outcome of is_pascal_quotient: params on success, else the step that
     rejected the automaton.
 
-    On success `labels[x]` is the id s*k + t of state x's image (s, t) in
-    A_{(h,k)}, so x accepts {m : (s + m*base^t) mod p in R}.
+    On success `labels[x]` is the id s*k + t of the image (s, t) in
+    A_{(h,k)} of each tested state x, so x accepts {m : (s + m*base^t) mod
+    p in R}: an array over all states for the whole automaton, a dict over
+    the members for an scc.
     """
 
     params: PascalParams | None
     failure: QuotientFailure | None
-    labels: array | None = None
+    labels: array | dict[int, int] | None = None
 
     @property
     def accepted(self) -> bool:
@@ -145,79 +149,40 @@ def build_pascal(p: int, remainders: Iterable[int], base: int) -> Dfa:
     return Dfa(base, p * psi, 0, flat, finals)
 
 
-def _columns(dfa: Dfa, members: Sequence[int] | None = None) -> list[array]:
-    """The successor column of every digit: of the whole automaton, or of
-    the closed set `members`, relabelled to positions in `members`
-    through one dict, at C speed.
-
-    The quotient test works on these columns directly; packing a column
-    densely halves the randomly touched footprint of every walk over it
-    compared to striding through the full table.
-    """
-    b, trans = dfa.base, dfa.transitions
-    if members is None:
-        return [trans[a::b] for a in range(b)]
-    pos = dict(zip(members, count()))
-    rows = array("i", map(b.__mul__, members))
-    try:
-        return [
-            array("i", map(pos.__getitem__, map(trans.__getitem__, map(a.__add__, rows))))
-            for a in range(b)
-        ]
-    except KeyError:
-        raise PreconditionViolated("transitions leave the given states") from None
-
-
-def _g_columns(cols: Sequence[array]) -> tuple[array, array, array]:
-    """The 0- and g-successor columns plus the 0-predecessor permutation,
-    from the digit columns `cols`."""
-    zcol, col1 = cols[0], cols[1]
-    pred0 = array("i", zcol)
-    for s, t in enumerate(zcol):
-        pred0[t] = s
-    gcol = array("i", map(pred0.__getitem__, col1))
-    return zcol, gcol, pred0
-
-
 def _analyze(
-    gcol: array, pred0: array, flags: bytes, init: int, base: int
-) -> tuple[PascalParams, array, array] | QuotientFailure:
-    """Step 2: read the candidate parameters off the g- and 0-columns.
+    col1: array, pred0: array | dict[int, int], flags: bytes, init: int, base: int
+) -> tuple[PascalParams, list[int], set[int]] | QuotientFailure:
+    """Step 2: read the candidate parameters off the 1-column and the
+    0-predecessors, g being pred0 after digit 1.
 
     p and R come from the g-circuit through the root `init`; (h, k) is
     the smallest mixed circuit g^h 0^k through it, found by stepping at
     most psi times backward along 0 and testing arrival on the g-circuit.
-    Also hands back the g-circuit labelling (position per state, members
-    in order) that _matches_quotient reuses.
+    Also hands back the g-circuit, its states in order and as a set,
+    which step 3 reuses.
 
     Trusts the preconditions (group automaton, zero-stable); returns the
     failed step instead when the parameters cannot exist.
     """
-    n = len(gcol)
-    pos_on = array("i", (-1,)) * n
-    circuit = array("i", (init,))
+    circuit = [init]
     append = circuit.append
-    pos_on[init] = 0
-    idx = 1
-    cur = gcol[init]
+    cur = pred0[col1[init]]
     while cur != init:
-        pos_on[cur] = idx
         append(cur)
-        idx += 1
-        cur = gcol[cur]
-    p = idx
+        cur = pred0[col1[cur]]
+    p = len(circuit)
 
     if math.gcd(p, base) != 1:
         return QuotientFailure.PERIOD_NOT_COPRIME
     remainders = frozenset(r for r, s in enumerate(circuit) if flags[s])
     psi = multiplicative_order(base, p)
 
+    on_circuit = set(circuit)
     cur = init
     for k in range(1, psi + 1):
         cur = pred0[cur]
-        h = pos_on[cur]
-        if h != -1:
-            return PascalParams(p, remainders, psi, h, k), pos_on, circuit
+        if cur in on_circuit:
+            return PascalParams(p, remainders, psi, circuit.index(cur), k), circuit, on_circuit
     return QuotientFailure.NO_MIXED_CIRCUIT
 
 
@@ -246,106 +211,109 @@ def build_quotient(params: PascalParams, base: int) -> Dfa:
     return Dfa(2, p * k, 0, flat, finals)
 
 
-def _matches_quotient(
-    zcol: array,
-    gcol: array,
-    params: PascalParams,
-    pos_on: array,
-    circuit: array,
-    base: int,
-) -> array | None:
-    """The isomorphism onto A_{(h,k)}, as the id of each state's image, if
-    the columns describe an automaton isomorphic to it; else None.
+def _check_quotient(
+    dfa: Dfa,
+    states: Sequence[int],
+    init: int,
+    pred0: array | dict[int, int],
+    labels: array | dict[int, int],
+) -> PascalParams | QuotientFailure:
+    """Steps 1-3 on `states`, which every digit permutes and which is
+    zero-stable, rooted at `init` among them.
 
-    Any isomorphism is forced: circuit position r must map to (r, 0), and
-    0-successors must follow level by level below that.  Building the
-    labelling along those edges makes most of the isomorphism equations
-    true by construction: the g-edges of the circuit, the non-wrapping
-    0-edges, and (level by level, since the caller checked zero-stability,
-    with R defined as the circuit's own finality pattern) the finality
-    vector.  What remains to verify is that the labelling is conflict-free,
-    the wrap edges (s, k-1).0 = ((s-h)/base^k, 0), and the g-edges off the
-    circuit.  Assumes p * k equals the state count.
+    The 0-predecessor of each state tested goes into `pred0`, and on
+    success its label into `labels`, both indexed by state id.  The caller
+    supplies them, so that the test costs O(base * m) for m states tested
+    however many states the automaton has.
+
+    Step 3 searches nothing, since any isomorphism onto A_{(h,k)} is
+    forced: circuit position r must map to (r, 0), and level t of the
+    0-successors below the circuit to the states (r, t) in the order of r.
+    Building the levels along those edges makes most of the isomorphism
+    equations true by construction: the g-edges of the circuit, the
+    non-wrapping 0-edges, and (level by level, by zero-stability, with R
+    defined as the circuit's own finality pattern) the finality vector.
+    What remains to verify is that the levels are disjoint, so that with
+    p * k states tested the forced map is a bijection, and, state id
+    against state id, the wrap edges (s, k-1).0 = ((s-h)/base^k, 0) and
+    the g-edges below the circuit, g rotating level t by base^t.
     """
+    b, cols = dfa.base, dfa.columns
+    zcol, col1 = cols[0], cols[1]
+    for s in states:
+        pred0[zcol[s]] = s
+    # digits 0 and 1 define g (read 1, unread 0), so s.a = s.g^a.0 holds
+    # for them by construction; given it for digit a - 1 at every state,
+    # it holds for digit a iff s.a = (s.g).(a - 1): one bulk map per digit
+    if b > 2:
+        g = list(map(pred0.__getitem__, map(col1.__getitem__, states)))
+        for a in range(2, b):
+            if list(map(cols[a].__getitem__, states)) != list(map(cols[a - 1].__getitem__, g)):
+                return QuotientFailure.SIMPLIFICATION_LOSS
+    found = _analyze(col1, pred0, dfa._final_bytes, init, b)
+    if isinstance(found, QuotientFailure):
+        return found
+    params, circuit, on_circuit = found
     p, h, k = params.p, params.h, params.k
-    n = len(pos_on)
-    if k == 1:
-        # the circuit covers everything, (s, 0) has id s, and every state
-        # is on the wrap row; two bulk passes decide the whole equation
-        # f(x.0) = (f(x) - h) / base
-        inv1 = pow(base, -1, p)
-        lhs = array("i", map(pos_on.__getitem__, zcol))
-        rhs = array("i", ((q - h) * inv1 % p for q in pos_on))
-        return pos_on if lhs == rhs else None
-    ids = array("i", (-1,)) * n
-    for r, x in enumerate(circuit):
-        ids[x] = r * k
-    levels: list = [circuit]
+    # a quotient has exactly p*k states; bailing out now also keeps an
+    # adversarial p*k >> m from blowing the linear budget below
+    if p * k != len(states):
+        return QuotientFailure.NOT_ISOMORPHIC
+    levels = [circuit]
     for _ in range(k - 1):
-        prev = levels[-1]
-        nxt = list(map(zcol.__getitem__, prev))
-        for x, y in zip(prev, nxt):
-            if ids[y] != -1:
-                # hit an already labelled state, so the 0-levels are not
-                # disjoint and no isomorphism can exist
-                return None
-            ids[y] = ids[x] + 1
-        levels.append(nxt)
-    inv_k = pow(pow(base, -1, p), k, p)
-    for x in levels[-1]:
-        if ids[zcol[x]] != (ids[x] // k - h) * inv_k % p * k:
-            return None
+        levels.append(list(map(zcol.__getitem__, levels[-1])))
+        # digit 0 is one-to-one, so the levels are disjoint iff none of
+        # them meets the circuit
+        if not on_circuit.isdisjoint(levels[-1]):
+            return QuotientFailure.NOT_ISOMORPHIC
+    inv_k = pow(b, -k, p)
+    wraps = [circuit[(s - h) * inv_k % p] for s in range(p)]
+    if list(map(zcol.__getitem__, levels[-1])) != wraps:
+        return QuotientFailure.NOT_ISOMORPHIC
     pw = 1
-    for t, level in enumerate(levels[1:], start=1):
-        pw = pw * base % p
-        for x in level:
-            if ids[gcol[x]] != (ids[x] // k + pw) % p * k + t:
-                return None
-    return ids
+    for level in levels[1:]:
+        pw = pw * b % p
+        if list(map(pred0.__getitem__, map(col1.__getitem__, level))) != level[pw:] + level[:pw]:
+            return QuotientFailure.NOT_ISOMORPHIC
+    for t, level in enumerate(levels):
+        for x, lab in zip(level, count(t, k)):
+            labels[x] = lab
+    return params
 
 
 def is_pascal_quotient(dfa: Dfa, members: Sequence[int] | None = None) -> QuotientCheck:
     """Steps 0-3 on the whole automaton, rooted at its initial state, or
-    on the closed scc `members`, rooted at its least member; labels are
-    then indexed by position in `members`.  O(base * n) for n states
-    tested.  Never raises on a negative answer; raises
-    PreconditionViolated if a transition leaves `members`.
+    on the closed scc `members`, rooted at its least member.
+
+    O(base * m) for m states tested, once dfa.columns is cached: a test of
+    `members` allocates nothing of the size of the automaton, so its
+    labels come as a dict over `members`.  Never raises on a negative
+    answer; raises PreconditionViolated if a transition leaves `members`.
     """
     if members is None:
         if not dfa.is_group:
             return QuotientCheck(None, QuotientFailure.NOT_GROUP)
         if not dfa.is_zero_stable:
             return QuotientCheck(None, QuotientFailure.NOT_ZERO_STABLE)
-        cols, flags, init = _columns(dfa), dfa._final_bytes, dfa.initial
+        n = dfa.state_count
+        states, init = range(n), dfa.initial
+        pred0, labels = array("i", (-1,)) * n, array("i", (-1,)) * n
     else:
-        cols = _columns(dfa, members)
-        if not all(map(_permutes, cols)):
+        cols, flags = dfa.columns, dfa._final_bytes
+        inside = set(members)
+        if not all(inside.issuperset(map(col.__getitem__, members)) for col in cols):
+            raise PreconditionViolated("transitions leave the given states")
+        if not all(_permutes(col, members) for col in cols):
             return QuotientCheck(None, QuotientFailure.NOT_GROUP)
-        flags = bytes(map(dfa._final_bytes.__getitem__, members))
-        if bytes(map(flags.__getitem__, cols[0])) != flags:
+        succ0 = map(cols[0].__getitem__, members)
+        if bytes(map(flags.__getitem__, succ0)) != bytes(map(flags.__getitem__, members)):
             return QuotientCheck(None, QuotientFailure.NOT_ZERO_STABLE)
-        init = members.index(min(members))
-    zcol, gcol, pred0 = _g_columns(cols)
-    # digits 0 and 1 define g, so they agree with it by construction; digit
-    # a >= 2 must equal g^a then 0, one bulk map per digit
-    b = dfa.base
-    g_a = gcol
-    for a in range(2, b):
-        g_a = array("i", map(gcol.__getitem__, g_a))
-        if cols[a] != array("i", map(zcol.__getitem__, g_a)):
-            return QuotientCheck(None, QuotientFailure.SIMPLIFICATION_LOSS)
-    found = _analyze(gcol, pred0, flags, init, b)
+        states, init = members, min(members)
+        pred0, labels = {}, {}
+    found = _check_quotient(dfa, states, init, pred0, labels)
     if isinstance(found, QuotientFailure):
         return QuotientCheck(None, found)
-    params, pos_on, circuit = found
-    # a quotient has exactly p*k states; bailing out now also keeps an
-    # adversarial p*k >> n from blowing the linear budget below
-    if params.p * params.k != len(zcol):
-        return QuotientCheck(None, QuotientFailure.NOT_ISOMORPHIC)
-    labels = _matches_quotient(zcol, gcol, params, pos_on, circuit, b)
-    if labels is None:
-        return QuotientCheck(None, QuotientFailure.NOT_ISOMORPHIC)
-    return QuotientCheck(params, None, labels)
+    return QuotientCheck(found, None, labels)
 
 
 def format_params(params: PascalParams) -> str:

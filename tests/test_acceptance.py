@@ -221,7 +221,7 @@ DECIDE_SCALING_BENCH = """
 import gc, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 from test_automaton import SETTLES, redundant_product
-from test_decision import base_power_dfa
+from test_decision import base_power_dfa, circuits_dfa
 from updfa import Dfa, automaton, decide, minimize
 from updfa.cli import bench_automaton
 from updfa.decision import _conditions, _read_parameters
@@ -235,8 +235,12 @@ groups = [bench_automaton(p, 2) for p in (10007, 100003)]
 chains = [Dfa(2, n, 0, [min(s + 1, n - 1) for s in range(n) for _ in range(2)],
               frozenset({n - 1})) for n in (10**4, 10**5)]
 powers = [base_power_dfa(e, 2) for e in (10**4, 10**5)]
+# p = 3 * 11 * 151 and 151 * 331 divide 2^30 - 1: about p / 30
+# 0-circuits, 9,966 and 99,962 states
+circuits = [circuits_dfa(p) for p in (4983, 49981)]
 runs = [lambda d=d: decide(d) for d in products + groups + chains + powers]
 runs += [extract(minimize(d)) for d in powers]
+runs += [lambda d=d: decide(d) for d in circuits]
 tail = automaton._hopcroft
 automaton._hopcroft = None  # the products and the group family settle in Moore rounds
 assert all(decide(d).ultimately_periodic for d in products + groups)
@@ -257,9 +261,11 @@ def test_decide_scaling():
     # the group automaton of {0} + pN, which Moore rounds settle; the chain
     # of test_minimize_chain_scaling, which the Hopcroft tail finishes; and
     # the 0-chain of 2^e * N, whose extraction alone is timed as well,
-    # since the decide ratio hides it; O(bn log n) is about 12x per decade,
-    # a quadratic extraction about 100x.  Measured in a fresh interpreter,
-    # repeats round-robin over the sizes
+    # since the decide ratio hides it; and the 0-circuits of
+    # test_up4_scaling_many_circuits_into_one_scc, embedded through the
+    # 1-predecessors that UP2 records; O(bn log n) is about 12x per
+    # decade, a quadratic extraction about 100x.  Measured in a fresh
+    # interpreter, repeats round-robin over the sizes
     proc = subprocess.run(
         [sys.executable, "-c", DECIDE_SCALING_BENCH, str(Path(__file__).parent)],
         capture_output=True,
@@ -269,7 +275,10 @@ def test_decide_scaling():
     )
     assert proc.returncode == 0, proc.stderr
     medians = list(map(int, proc.stdout.split()))
-    names = ("redundant product", "group automaton", "chain", "2^e * N", "2^e * N extraction")
+    names = (
+        "redundant product", "group automaton", "chain", "2^e * N", "2^e * N extraction",
+        "0-circuits",
+    )
     for name, small, large in zip(names, medians[::2], medians[1::2]):
         ratio = large / small
         assert ratio <= 20, f"{name}: decade ratio {ratio:.2f} exceeds 20 ({small}, {large} ns)"

@@ -25,6 +25,7 @@ from updfa.cli import bench_automaton, main
 from conftest import subprocess_env
 from test_automaton import EVEN_ONES, powers_of_two_dfa
 from test_decision import base_power_dfa, up4_instance
+from test_pascal import copies_below_a_chain
 
 CONDITIONS = {"UP0", "UP2", "UP3", "UP4"}
 
@@ -343,6 +344,47 @@ def test_info_partial_automaton(tmp_path, capsys):
     assert "group false" in lines
     # incompleteness suppresses the quotient analysis, not the scc listing
     assert not any("pascal" in line for line in lines)
+
+
+INFO_SCALING_BENCH = """
+import contextlib, io, statistics, sys, time
+from updfa.cli import main
+paths = sys.argv[1:]
+times = [[] for _ in paths]
+for _ in range(5):
+    for path, samples in zip(paths, times):
+        with contextlib.redirect_stdout(io.StringIO()):
+            t0 = time.perf_counter_ns()
+            assert main(["info", path]) == 0
+            samples.append(time.perf_counter_ns() - t0)
+print(*(int(statistics.median(s)) for s in times))
+"""
+
+
+def test_info_scaling_in_the_number_of_sccs(tmp_path, capsys):
+    # `updfa info` tests every closed positive-digit scc on its own; here
+    # 10^3 and 10^4 copies of a 6-state Pascal automaton below a chain of
+    # as many transient states.  Linear is about 10x per decade, a test
+    # that touches every state of the automaton once per scc about 100x.
+    # Timed in a fresh interpreter, repeats round-robin over the sizes
+    unit = build_pascal(3, [1], 2)
+    paths = []
+    for copies in (10**3, 10**4):
+        dfa = copies_below_a_chain(unit, copies, copies)
+        paths.append(write_tmp(tmp_path, dfa, f"{copies}.dfa"))
+    code, out, _ = run(capsys, "info", paths[0])
+    assert code == 0 and out.count(" pascal p=3 R=1 psi=2 h=0 k=2") == 10**3
+    proc = subprocess.run(
+        [sys.executable, "-c", INFO_SCALING_BENCH, *paths],
+        capture_output=True,
+        env=subprocess_env(),
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    small, large = map(int, proc.stdout.split())
+    ratio = large / small
+    assert ratio <= 20, f"decade ratio {ratio:.2f} exceeds 20 ({small}, {large} ns)"
 
 
 # ---------------------------------------------------------------- minimize

@@ -33,6 +33,7 @@ from updfa import (
     membership,
     minimize,
 )
+from updfa.cli import bench_automaton
 from updfa.errors import PreconditionViolated
 
 from conftest import subprocess_env
@@ -257,25 +258,46 @@ def test_scc_quotient_test_matches_a_sub_automaton():
         p = rng.choice([q for q in range(1, 40) if math.gcd(q, base) == 1])
         dfas.append(minimize(build_pascal(p, [r for r in range(p) if rng.random() < 0.5], base)))
     seen: dict = {}
+    up2_failures = certified = 0
     for d in dfas:
         cond = condensation(d)
+        failure, verified = updfa.decision._conditions(d)
+        # off the group path the decision tests each scc on its own too
+        own = not d.is_group
         for c in range(cond.count):
             if cond.scc_type[c] is not SccType.TYPE_ONE:
                 continue
-            found, diag = updfa.decision._check_atomic_scc(d, cond, c)
+            members = cond.scc_members[c]
+            want = sub_automaton_check(d, members)
+            # closure is the caller's to check, as in the decision and in
+            # `updfa info`: a positive-digit scc is closed iff it has no
+            # successor scc
+            diag = "transitions leave the scc"
             got = (None, diag, {})
-            if found is not None:
-                got = (found.params, None, dict(zip(cond.scc_members[c], found.labels)))
-            assert got == sub_automaton_check(d, cond.scc_members[c]), (d, c)
+            if not cond.descendants[c]:
+                check = is_pascal_quotient(d, members)
+                diag = None if check.accepted else check.failure.value
+                got = (check.params, diag, dict(check.labels or {}))
+            assert got == want, (d, c)
+            # and its verdict gave the same diagnostic, or the same facts
+            if own and failure is not None and (failure.condition, failure.witness) == ("UP2", c):
+                assert failure.diagnostic == want[1], (d, c)
+                up2_failures += 1
+            elif own and verified is not None:
+                assert {z: verified.label[z] for z in members} == want[2], (d, c)
+                assert all(verified.params[z] == want[0] for z in members), (d, c)
+                certified += 1
             seen[diag] = seen.get(diag, 0) + 1
     # every outcome occurs, and most sccs pass
     assert set(seen) == {None, "transitions leave the scc", *(f.value for f in QuotientFailure)}
     assert seen[None] > 1000
+    assert up2_failures > 0 and certified > 0
 
 
 def test_conditions_build_no_dfa(monkeypatch):
-    # each positive-digit scc is tested on its own columns: no Dfa is built,
-    # hence none validated, while the conditions run
+    # each positive-digit scc is tested on the automaton's own columns and
+    # state ids: no Dfa is built, hence none validated, while the
+    # conditions run
     calls = []
     validate = updfa.automaton.validate
     monkeypatch.setattr(updfa.automaton, "validate", lambda d: calls.append(d) or validate(d))
@@ -314,16 +336,11 @@ def test_up4_failure_minimal_instance():
     assert brute_decide(d, 256, 64) is None
 
 
-UP4_SCALING_BENCH = """
-import gc, statistics, time
-from updfa import Dfa, check_conditions
-from updfa.cli import bench_automaton
-
-def circuits_dfa(L):
-    # D = {0} + pN with p = 2^L - 1, plus a state x_e per residue e that
-    # reads 0 into x_(e/2 mod p) and 1 as e does, final iff e != 0: about
-    # 2^L / L 0-circuits of length dividing L, each embedding into D
-    p = 2**L - 1
+def circuits_dfa(p: int) -> Dfa:
+    """D = {0} + pN for an odd p, plus a state x_e per residue e that
+    reads 0 into x_(e/2 mod p) and 1 as e does, final iff e != 0: about
+    p / ord_p(2) 0-circuits of length dividing ord_p(2), each embedding
+    into D."""
     d = bench_automaton(p, 2)
     half = pow(2, -1, p)
     trans = list(d.transitions)
@@ -331,7 +348,15 @@ def circuits_dfa(L):
         trans += [p + e * half % p, d.transitions[2 * e + 1]]
     return Dfa(2, 2 * p, 0, trans, frozenset([0, *range(p + 1, 2 * p)]))
 
-dfas = [circuits_dfa(L) for L in (10, 12, 14)]
+
+UP4_SCALING_BENCH = """
+import gc, statistics, sys, time
+sys.path.insert(0, sys.argv[1])
+from test_decision import circuits_dfa
+from updfa import check_conditions
+
+# p = 2^L - 1, so ord_p(2) = L: about 2^L / L 0-circuits
+dfas = [circuits_dfa(2**L - 1) for L in (10, 12, 14)]
 assert all(check_conditions(dfa).ultimately_periodic for dfa in dfas)
 times = [[] for _ in dfas]
 gc.disable()
@@ -351,7 +376,7 @@ def test_up4_scaling_many_circuits_into_one_scc():
     # repeats round-robin over the sizes (as criterion 09 in
     # test_acceptance.py, which times the group family)
     proc = subprocess.run(
-        [sys.executable, "-c", UP4_SCALING_BENCH],
+        [sys.executable, "-c", UP4_SCALING_BENCH, str(Path(__file__).parent)],
         capture_output=True,
         env=subprocess_env(),
         text=True,
@@ -518,10 +543,38 @@ def zero_stable_dfa(rng: random.Random, base: int, n: int) -> Dfa:
     return Dfa(base, n, 0, trans, finals)
 
 
+def length_parity_product(d: Dfa) -> Dfa:
+    """The product of the complete automaton `d` with the parity of the
+    length of the word read: twice the states, the same set."""
+    b = d.base
+    trans = []
+    for q in range(2 * d.state_count):
+        s, parity = divmod(q, 2)
+        trans += [2 * t + 1 - parity for t in d.transitions[s * b : s * b + b]]
+    finals = frozenset(2 * q + parity for q in d.finals for parity in (0, 1))
+    return Dfa(b, 2 * d.state_count, 2 * d.initial, trans, finals)
+
+
 def test_decide_agrees_with_brute_force_on_random_automata():
     rng = random.Random(20261018)
     max_m, max_p = 40, 40
-    positives = 0
+
+    def agrees(i: int, dfa: Dfa) -> bool:
+        """Compare decide with the oracle on `dfa`; whether it is positive."""
+        verdict = decide(dfa)
+        slow = brute_decide(dfa, max_m, max_p)
+        if slow is not None:
+            assert verdict.params == slow, (i, verdict, slow)
+        elif verdict.ultimately_periodic:
+            # a positive decide verdict outside the oracle's bounds
+            params = verdict.params
+            assert params.period > max_p or params.preperiod > max_m
+        if verdict.ultimately_periodic:
+            bits = characteristic_prefix(dfa, 300)
+            assert bits == bytes(membership(verdict.params, k) for k in range(300))
+        return verdict.ultimately_periodic
+
+    positives = rich = 0
     with Budget(60):
         for i in range(3000):
             base = (2, 3, 10)[i % 3]
@@ -532,19 +585,25 @@ def test_decide_agrees_with_brute_force_on_random_automata():
                 finals = frozenset(q for q in range(n) if rng.random() < 0.5)
                 trans = [rng.randrange(n) for _ in range(n * base)]
                 dfa = Dfa(base, n, 0, trans, finals)
-            verdict = decide(dfa)
-            slow = brute_decide(dfa, max_m, max_p)
-            if slow is not None:
-                assert verdict.params == slow, (i, verdict, slow)
-            elif verdict.ultimately_periodic:
-                # a positive decide verdict outside the oracle's bounds
-                params = verdict.params
-                assert params.period > max_p or params.preperiod > max_m
-            if verdict.ultimately_periodic:
-                positives += 1
-                bits = characteristic_prefix(dfa, 300)
-                assert bits == bytes(membership(verdict.params, k) for k in range(300))
+            positives += agrees(i, dfa)
+        # most positives above minimize to a single state, so these draws
+        # add larger ones: minimal automata of random (p, R, I), doubled by
+        # the parity of the word length, three in ten with one transition
+        # changed
+        for i in range(600):
+            base = (2, 3, 4, 6, 10)[i % 5]
+            p = rng.randint(1, 12)
+            rem = [r for r in range(p) if rng.random() < 0.5]
+            s = UpSet.from_parts(p, rem, rng.sample(range(30), rng.randint(0, 2)))
+            dfa = length_parity_product(build_minimal_automaton(s, base))
+            if rng.random() < 0.3:
+                trans = list(dfa.transitions)
+                trans[rng.randrange(len(trans))] = rng.randrange(dfa.state_count)
+                dfa = Dfa(base, dfa.state_count, dfa.initial, trans, dfa.finals)
+            if agrees(i, dfa) and minimize(dfa).state_count >= 5:
+                rich += 1
     assert positives > 1000
+    assert rich >= 300
 
 
 def test_extract_rejects_automata_failing_the_conditions():
@@ -557,8 +616,8 @@ def test_extract_rejects_automata_failing_the_conditions():
 
 def test_decide_computes_each_fact_once(monkeypatch):
     calls = dict.fromkeys(
-        ["condensation", "is_pascal_quotient", "accepts", "isomorphic",
-         "build_minimal_automaton"],
+        ["condensation", "is_pascal_quotient", "_check_quotient", "accepts",
+         "isomorphic", "build_minimal_automaton"],
         0,
     )
 
@@ -586,7 +645,8 @@ def test_decide_computes_each_fact_once(monkeypatch):
     assert calls["condensation"] <= 1
     cond = condensation(minimize(d))
     positive = sum(t is SccType.TYPE_ONE for t in cond.scc_type)
-    assert calls["is_pascal_quotient"] == positive == 3
+    assert calls["_check_quotient"] == positive == 3
+    assert calls["is_pascal_quotient"] == 0
     assert calls["accepts"] == calls["isomorphic"] == 0
     assert calls["build_minimal_automaton"] == 0
     # a minimal group automaton is one scc: one quotient test decides it,

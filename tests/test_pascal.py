@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,7 +27,7 @@ from updfa import (
     value,
 )
 from updfa.errors import NotCoprime, PreconditionViolated
-from updfa.pascal import _analyze, _columns, _g_columns
+from updfa.pascal import _analyze
 
 from test_automaton import EVEN_ONES, powers_of_two_dfa
 
@@ -130,9 +131,20 @@ def test_pascal_is_group_and_zero_stable():
 # ---------------------------------------------------------------- g letter
 
 
+def zero_and_g(dfa):
+    """Reference columns, state by state: the 0-successor and the
+    g-successor of every state, g being reading 1 and then unreading 0,
+    and the 0-predecessors as a dict."""
+    n = dfa.state_count
+    zcol = [dfa.step(s, 0) for s in range(n)]
+    pred0 = {t: s for s, t in enumerate(zcol)}
+    gcol = [pred0[dfa.step(s, 1)] for s in range(n)]
+    return zcol, gcol, pred0
+
+
 def high_digits_ok(dfa):
     """Reference for the simplification check: s.a = s.g^a.0, state by state."""
-    zcol, gcol, _ = _g_columns(_columns(dfa))
+    zcol, gcol, _ = zero_and_g(dfa)
     for s in range(dfa.state_count):
         x = s
         for a in range(dfa.base):
@@ -151,16 +163,53 @@ def test_add_g_letter_requires_group():
 
 
 def test_quotient_test_on_a_closed_scc():
-    # the scc's columns are relabelled to positions in `members`, and the
-    # test is rooted at its least member; an open set is refused
+    # the scc is tested on the automaton's own state ids and rooted at its
+    # least member, whatever the order of `members`; an open set is refused
     d = build_pascal(7, [6], 2)
     whole = is_pascal_quotient(d)
     members = list(range(d.state_count))[::-1]
     check = is_pascal_quotient(d, members)
     assert check.params == whole.params
-    assert list(check.labels) == list(whole.labels)[::-1]
+    assert dict(check.labels) == dict(enumerate(whole.labels))
     with pytest.raises(PreconditionViolated):
         is_pascal_quotient(d, [0, 1])
+
+
+def copies_below_a_chain(unit: Dfa, copies: int, length: int) -> Dfa:
+    """`copies` disjoint copies of the complete automaton `unit` below a
+    chain of `length` transient states, the initial state first: chain
+    state i reads 0 into state i + 1, the last one into copy 0, and every
+    other digit into copy i mod `copies`.  Copy j's states follow the
+    chain, shifted by length + j * unit.state_count."""
+    b, m = unit.base, unit.state_count
+    trans = []
+    for i in range(length):
+        root = length + i % copies * m + unit.initial
+        trans += [i + 1 if i + 1 < length else length + unit.initial] + [root] * (b - 1)
+    for j in range(copies):
+        trans += [t + length + j * m for t in unit.transitions]
+    finals = [length + j * m + q for j in range(copies) for q in unit.finals]
+    return Dfa(b, length + copies * m, 0, trans, frozenset(finals))
+
+
+def test_scc_test_allocates_nothing_of_the_automaton_size():
+    # a 6-state Pascal automaton below 10^5 - 6 transient states: once a
+    # first call has cached the columns, testing the scc allocates O(base *
+    # 6), where one column or one array over all states takes 400 KB; so
+    # `updfa info`, one test per scc, stays linear in the number of sccs
+    unit = build_pascal(3, [1], 2)
+    n = 10**5
+    dfa = copies_below_a_chain(unit, 1, n - unit.state_count)
+    members = range(n - unit.state_count, n)
+    first = is_pascal_quotient(dfa, members)
+    tracemalloc.start()
+    try:
+        check = is_pascal_quotient(dfa, members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check == first and check.params == is_pascal_quotient(unit).params
+    assert peak < 64 * 1024, f"peak {peak} bytes"
 
 
 def test_add_g_letter_on_pascal():
@@ -168,7 +217,7 @@ def test_add_g_letter_on_pascal():
     p, base = 5, 2
     psi = multiplicative_order(base, p)
     dfa = build_pascal(p, [0, 3], base)
-    zcol, gcol, pred0 = _g_columns(_columns(dfa))
+    zcol, gcol, pred0 = zero_and_g(dfa)
     assert len(gcol) == dfa.state_count
     for s in range(p):
         for t in range(psi):
@@ -182,7 +231,7 @@ def test_add_g_letter_undoes_zero():
     # s.g.0 = s.1 by definition of g
     for p, rem, base in [(5, [0, 3], 2), (7, [1, 2], 3)]:
         dfa = build_pascal(p, rem, base)
-        _, gcol, _ = _g_columns(_columns(dfa))
+        _, gcol, _ = zero_and_g(dfa)
         for s in range(dfa.state_count):
             assert dfa.step(gcol[s], 0) == dfa.step(s, 1)
 
@@ -245,8 +294,9 @@ def test_analyze_trivial_quotient_of_full_pascal():
 
 
 def test_analyze_rejects_non_coprime_circuit():
-    _, gcol, pred0 = _g_columns(_columns(EVEN_ONES))
-    found = _analyze(gcol, pred0, EVEN_ONES._final_bytes, EVEN_ONES.initial, 2)
+    _, _, pred0 = zero_and_g(EVEN_ONES)
+    col1 = EVEN_ONES.columns[1]
+    found = _analyze(col1, pred0, EVEN_ONES._final_bytes, EVEN_ONES.initial, 2)
     assert found is QuotientFailure.PERIOD_NOT_COPRIME
 
 
@@ -287,7 +337,7 @@ def test_quotient_with_full_k_is_simplified_pascal():
         psi = multiplicative_order(base, p)
         trivial = PascalParams(p, frozenset(rem), psi, 0, psi)
         pascal = build_pascal(p, rem, base)
-        zcol, gcol, _ = _g_columns(_columns(pascal))
+        zcol, gcol, _ = zero_and_g(pascal)
         flat = [x for pair in zip(zcol, gcol) for x in pair]
         simplified = Dfa(2, pascal.state_count, pascal.initial, flat, pascal.finals)
         assert isomorphic(build_quotient(trivial, base), simplified)
@@ -311,7 +361,7 @@ def test_quotient_agrees_with_the_labels():
                 assert check.accepted, (p, rem, base)
                 q = build_quotient(check.params, base)
                 wraps += check.params.h != 0
-                zcol, gcol, _ = _g_columns(_columns(dfa))
+                zcol, gcol, _ = zero_and_g(dfa)
                 lab = check.labels
                 assert sorted(lab) == list(range(q.state_count))
                 assert lab[dfa.initial] == q.initial
