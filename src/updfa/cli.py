@@ -112,6 +112,10 @@ def cmd_decide(args) -> int:
 
 def cmd_gen(args) -> int:
     kv = _parse_kv(args.params)
+    known = ("base", "p", "R", "I") if args.kind == "upset" else ("base", "p", "R")
+    for key in kv:
+        if key not in known:
+            raise FormatError(f"unknown parameter {key!r} for gen {args.kind}")
     base = _parse_int(kv.get("base", "2"))
     p = _parse_int(_require(kv, "p"))
     rem = _parse_int_list(_require(kv, "R"))

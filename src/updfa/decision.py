@@ -28,13 +28,13 @@ from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automaton import Dfa, SccType, _permutes, condensation, minimize
+from .automaton import Dfa, SccType, condensation, minimize
 from .errors import PreconditionViolated
 from .numeration import UpSet, _with_least_period, value
 from .pascal import (
     PascalParams,
     QuotientFailure,
-    _check_quotient,
+    _scc_quotient,
     accepted_residues,
     is_pascal_quotient,
 )
@@ -175,9 +175,7 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
         if cond.descendants[c]:
             return ConditionFailure("UP2", c, "transitions leave the scc"), None
         members = cond.scc_members[c]
-        found = QuotientFailure.NOT_GROUP
-        if all(_permutes(col, members) for col in cols):
-            found = _check_quotient(dfa, members, min(members), pred0, label)
+        found = _scc_quotient(dfa, members, min(members), pred0, label)
         if isinstance(found, QuotientFailure):
             return ConditionFailure("UP2", c, found.value), None
         period = math.lcm(period, found.p)

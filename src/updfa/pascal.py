@@ -12,10 +12,10 @@ automaton, m being the number of states tested.  It works on the
 automaton's own state ids and its cached successor column per digit
 (Dfa.columns); nothing is relabelled and no sub-automaton is built.  The
 root is the initial state, or the scc's least member.  The decision runs
-steps 1-3 on each positive-digit scc itself, writing 0-predecessors and
+steps 0-3 on each positive-digit scc itself, writing 0-predecessors and
 labels into arrays it shares across the sccs.
 
-  Step 0  group automaton + zero-stability, else it cannot be one;
+  Step 0  every digit permutes the states tested, and 0 keeps finality;
   Step 1  compute the g-successor of every state from the 0-predecessors
           and the 1-column, and verify that no digit carries more
           information (s.a must equal s.g^a.0 for every state and digit);
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Sequence
 
-from .automaton import Dfa, _permutes
+from .automaton import Dfa
 from .errors import NotCoprime, PreconditionViolated
 from .numeration import _prime_factors, format_list
 
@@ -211,15 +211,15 @@ def build_quotient(params: PascalParams, base: int) -> Dfa:
     return Dfa(2, p * k, 0, flat, finals)
 
 
-def _check_quotient(
+def _scc_quotient(
     dfa: Dfa,
     states: Sequence[int],
     init: int,
     pred0: array | dict[int, int],
     labels: array | dict[int, int],
 ) -> PascalParams | QuotientFailure:
-    """Steps 1-3 on `states`, which every digit permutes and which is
-    zero-stable, rooted at `init` among them.
+    """Steps 0-3 on `states`, distinct states that every transition maps
+    among themselves (a closed scc, or all of them), rooted at `init`.
 
     The 0-predecessor of each state tested goes into `pred0`, and on
     success its label into `labels`, both indexed by state id.  The caller
@@ -238,8 +238,21 @@ def _check_quotient(
     against state id, the wrap edges (s, k-1).0 = ((s-h)/base^k, 0) and
     the g-edges below the circuit, g rotating level t by base^t.
     """
-    b, cols = dfa.base, dfa.columns
+    b, cols, m = dfa.base, dfa.columns, len(states)
     zcol, col1 = cols[0], cols[1]
+    # a digit permutes a closed set iff it maps it onto as many states,
+    # which for all n states is the cached is_group
+    if m == dfa.state_count:
+        permutes = dfa.is_group
+    else:
+        permutes = all(len(set(map(col.__getitem__, states))) == m for col in cols)
+    if not permutes:
+        return QuotientFailure.NOT_GROUP
+    # every closed set of a zero-stable automaton is zero-stable
+    if not dfa.is_zero_stable:
+        final = dfa._final_bytes.__getitem__
+        if bytes(map(final, map(zcol.__getitem__, states))) != bytes(map(final, states)):
+            return QuotientFailure.NOT_ZERO_STABLE
     for s in states:
         pred0[zcol[s]] = s
     # digits 0 and 1 define g (read 1, unread 0), so s.a = s.g^a.0 holds
@@ -257,7 +270,7 @@ def _check_quotient(
     p, h, k = params.p, params.h, params.k
     # a quotient has exactly p*k states; bailing out now also keeps an
     # adversarial p*k >> m from blowing the linear budget below
-    if p * k != len(states):
+    if p * k != m:
         return QuotientFailure.NOT_ISOMORPHIC
     levels = [circuit]
     for _ in range(k - 1):
@@ -288,29 +301,21 @@ def is_pascal_quotient(dfa: Dfa, members: Sequence[int] | None = None) -> Quotie
     O(base * m) for m states tested, once dfa.columns is cached: a test of
     `members` allocates nothing of the size of the automaton, so its
     labels come as a dict over `members`.  Never raises on a negative
-    answer; raises PreconditionViolated if a transition leaves `members`.
+    answer; raises PreconditionViolated unless `members` lists distinct
+    states of the automaton, at least one, and no transition leaves them.
     """
+    n = dfa.state_count
     if members is None:
-        if not dfa.is_group:
-            return QuotientCheck(None, QuotientFailure.NOT_GROUP)
-        if not dfa.is_zero_stable:
-            return QuotientCheck(None, QuotientFailure.NOT_ZERO_STABLE)
-        n = dfa.state_count
-        states, init = range(n), dfa.initial
-        pred0, labels = array("i", (-1,)) * n, array("i", (-1,)) * n
+        labels = array("i", (-1,)) * n
+        found = _scc_quotient(dfa, range(n), dfa.initial, array("i", (-1,)) * n, labels)
     else:
-        cols, flags = dfa.columns, dfa._final_bytes
         inside = set(members)
-        if not all(inside.issuperset(map(col.__getitem__, members)) for col in cols):
+        if not 0 < len(inside) == len(members) or min(inside) < 0 or max(inside) >= n:
+            raise PreconditionViolated("members must be distinct states of the automaton")
+        if not all(inside.issuperset(map(col.__getitem__, members)) for col in dfa.columns):
             raise PreconditionViolated("transitions leave the given states")
-        if not all(_permutes(col, members) for col in cols):
-            return QuotientCheck(None, QuotientFailure.NOT_GROUP)
-        succ0 = map(cols[0].__getitem__, members)
-        if bytes(map(flags.__getitem__, succ0)) != bytes(map(flags.__getitem__, members)):
-            return QuotientCheck(None, QuotientFailure.NOT_ZERO_STABLE)
-        states, init = members, min(members)
-        pred0, labels = {}, {}
-    found = _check_quotient(dfa, states, init, pred0, labels)
+        labels = {}
+        found = _scc_quotient(dfa, members, min(members), {}, labels)
     if isinstance(found, QuotientFailure):
         return QuotientCheck(None, found)
     return QuotientCheck(found, None, labels)

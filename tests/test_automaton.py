@@ -20,6 +20,7 @@ from updfa import (
     build_minimal_automaton,
     complete,
     condensation,
+    decide,
     is_group_automaton,
     isomorphic,
     minimize,
@@ -28,6 +29,7 @@ from updfa import (
     write_dfa,
 )
 from updfa import automaton
+from updfa.cli import bench_automaton
 from updfa.errors import (
     BadDigit,
     BadStateId,
@@ -316,6 +318,18 @@ def test_step_and_transition_items():
     assert d.step(0, 1) == MISSING
     assert list(d.transitions) == [1, MISSING, 0, 0]
     assert not d.is_complete
+
+
+def test_step_rejects_out_of_range_arguments():
+    # the row-major table would answer each of these from another row
+    d = Dfa(2, 3, 0, [0, 1, 2, 0, 1, 2], frozenset({1}))
+    assert [d.step(s, a) for s in range(3) for a in range(2)] == [0, 1, 2, 0, 1, 2]
+    for digit in (2, -1):
+        with pytest.raises(BadDigit):
+            d.step(0, digit)
+    for state in (3, -1):
+        with pytest.raises(BadStateId):
+            d.step(state, 0)
 
 
 def test_accepts_validates_digits():
@@ -878,6 +892,12 @@ def test_zero_stability():
     flipped = Dfa(base=2, state_count=2, initial=0, transitions=(1, 1, 0, 0), finals=frozenset({0}))
     assert not flipped.is_zero_stable
     assert powers_of_two_dfa().is_zero_stable
+    # a missing 0-transition agrees, so completing the automaton, as
+    # decide does, can turn a zero-stable one into one that fails UP0
+    partial = Dfa(2, 1, 0, [MISSING, 0], frozenset({0}))
+    assert partial.is_zero_stable
+    assert not complete(partial).is_zero_stable
+    assert decide(partial).failure.condition == "UP0"
 
 
 def test_is_group_automaton():
@@ -887,6 +907,17 @@ def test_is_group_automaton():
         is_group_automaton(
             Dfa(base=2, state_count=1, initial=0, transitions=(0, MISSING), finals=frozenset())
         )
+
+
+def test_is_group_counts_every_target():
+    # digit 1 sends states 0 and 4,999 to the same target and is one-to-one
+    # elsewhere: the only collision lies beyond the first 4,096 states
+    n = 5001
+    trans = []
+    for s in range(n):
+        trans += [(s + 1) % n, 0 if s == 4999 else s]
+    assert not Dfa(2, n, 0, trans, frozenset()).is_group
+    assert bench_automaton(10007, 2).is_group
 
 
 def test_group_automaton_from_permutations():

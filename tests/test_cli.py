@@ -277,6 +277,23 @@ def test_gen_rejects_non_integer_parameters(capsys, argv):
     assert err.startswith("error: expected an integer")
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("pascal", "p=3", "R=1", "I=2", "foo=7"), "I"),
+        (("pascal", "p=3", "R=1", "foo=7"), "foo"),
+        (("upset", "p=3", "R=1", "I=2", "foo=7"), "foo"),
+        (("upset", "p=3", "R=1", "r=1"), "r"),
+    ],
+)
+def test_gen_rejects_unknown_parameters(capsys, argv, key):
+    # a key gen does not read must not be dropped silently
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: unknown parameter {key!r}")
+
+
 def test_gen_pascal_stdout(capsys):
     code, out, _ = run(capsys, "gen", "pascal", "p=3", "R=2")
     assert code == 0

@@ -294,6 +294,25 @@ def test_scc_quotient_test_matches_a_sub_automaton():
     assert up2_failures > 0 and certified > 0
 
 
+def test_scc_permutation_count_reaches_past_4096_members():
+    # a transient root above a closed 5,000-state scc: digit 0 runs round
+    # it, and digit 1 fixes every member but the last, which it sends to
+    # the first, a collision at position 4,999 of `members` and nowhere
+    # else; both the decision and the public test must see it
+    m = 5000
+    trans = [1, 1]
+    for i in range(m):
+        trans += [1 + (i + 1) % m, 1 if i == m - 1 else 1 + i]
+    d = Dfa(2, m + 1, 0, trans, frozenset())
+    members = list(range(1, m + 1))
+    assert is_pascal_quotient(d, members).failure == QuotientFailure.NOT_GROUP
+    cond = condensation(d)
+    (c,) = (c for c in range(cond.count) if cond.scc_type[c] is SccType.TYPE_ONE)
+    assert sorted(cond.scc_members[c]) == members
+    failure, _ = updfa.decision._conditions(d)
+    assert failure == ConditionFailure("UP2", c, "NotGroup")
+
+
 def test_conditions_build_no_dfa(monkeypatch):
     # each positive-digit scc is tested on the automaton's own columns and
     # state ids: no Dfa is built, hence none validated, while the
@@ -616,7 +635,7 @@ def test_extract_rejects_automata_failing_the_conditions():
 
 def test_decide_computes_each_fact_once(monkeypatch):
     calls = dict.fromkeys(
-        ["condensation", "is_pascal_quotient", "_check_quotient", "accepts",
+        ["condensation", "is_pascal_quotient", "_scc_quotient", "accepts",
          "isomorphic", "build_minimal_automaton"],
         0,
     )
@@ -645,7 +664,7 @@ def test_decide_computes_each_fact_once(monkeypatch):
     assert calls["condensation"] <= 1
     cond = condensation(minimize(d))
     positive = sum(t is SccType.TYPE_ONE for t in cond.scc_type)
-    assert calls["_check_quotient"] == positive == 3
+    assert calls["_scc_quotient"] == positive == 3
     assert calls["is_pascal_quotient"] == 0
     assert calls["accepts"] == calls["isomorphic"] == 0
     assert calls["build_minimal_automaton"] == 0

@@ -29,7 +29,7 @@ from updfa import (
 from updfa.errors import NotCoprime, PreconditionViolated
 from updfa.pascal import _analyze
 
-from test_automaton import EVEN_ONES, powers_of_two_dfa
+from test_automaton import EVEN_ONES, MISSING, powers_of_two_dfa
 
 
 # ---------------------------------------------------------------- order
@@ -173,6 +173,61 @@ def test_quotient_test_on_a_closed_scc():
     assert dict(check.labels) == dict(enumerate(whole.labels))
     with pytest.raises(PreconditionViolated):
         is_pascal_quotient(d, [0, 1])
+    # members must be distinct states, at least one, checked before
+    # anything is read: the repeated state's set is a valid quotient
+    d = minimize(d)
+    n = d.state_count
+    assert is_pascal_quotient(d, list(range(n))).accepted
+    for bad in ([], [n], [-1, *range(n)], list(range(n)) + [0]):
+        with pytest.raises(PreconditionViolated):
+            is_pascal_quotient(d, bad)
+
+
+def sccs_below_a_root(*units: Dfa) -> Dfa:
+    """A non-final root, state 0, above disjoint copies of the complete
+    automata `units`: digit j reads into copy j's initial state, and the
+    root's other digits are missing.  Copy j's states follow the root and
+    the copies before it, in order."""
+    b = units[0].base
+    trans, finals, offset = [MISSING] * b, [], 1
+    for j, unit in enumerate(units):
+        trans[j] = offset + unit.initial
+        trans += [t + offset for t in unit.transitions]
+        finals += [offset + q for q in unit.finals]
+        offset += unit.state_count
+    return Dfa(b, offset, 0, trans, frozenset(finals))
+
+
+FLIPPED = Dfa(2, 2, 0, [1, 1, 0, 0], frozenset({0}))  # a group, not zero-stable
+
+
+def test_closed_scc_of_a_partial_automaton_is_tested():
+    # the root's digit 1 is missing; a missing transition counts as zero-
+    # stable, so the cached answer can vouch for a closed scc or not
+    unit = build_pascal(3, [1], 2)
+    whole = is_pascal_quotient(unit)
+    d = sccs_below_a_root(unit)
+    assert not d.is_complete and d.is_zero_stable
+    check = is_pascal_quotient(d, range(1, d.state_count))
+    assert check.params == whole.params
+    assert check.labels == {x + 1: lab for x, lab in enumerate(whole.labels)}
+    d = sccs_below_a_root(FLIPPED)
+    assert not d.is_complete and not d.is_zero_stable
+    assert is_pascal_quotient(d, [1, 2]).failure == QuotientFailure.NOT_ZERO_STABLE
+
+
+def test_zero_stability_is_checked_per_scc_when_the_automaton_fails_it():
+    # two closed positive-digit sccs below a root; only the second one
+    # breaks zero-stability, so only it is rejected for it
+    unit = build_pascal(3, [1], 2)
+    d = sccs_below_a_root(unit, FLIPPED)
+    assert d.is_complete and not d.is_zero_stable
+    assert is_group_automaton(FLIPPED)
+    m = unit.state_count
+    check = is_pascal_quotient(d, range(1, m + 1))
+    assert check.params == is_pascal_quotient(unit).params
+    failed = is_pascal_quotient(d, [m + 1, m + 2])
+    assert failed.failure == QuotientFailure.NOT_ZERO_STABLE
 
 
 def copies_below_a_chain(unit: Dfa, copies: int, length: int) -> Dfa:
