@@ -749,4 +749,12 @@ def write_dfa(dfa: Dfa) -> str:
     for i, t in enumerate(dfa.transitions):
         if t != MISSING:
             lines.append(f"trans {i // b} {i % b} {t}")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    # parse_dfa refuses text shorter than `states`, or than the table once
+    # it has over 2**20 entries; only a sparse partial automaton can be
+    # that short (a complete one writes 12 or more characters per entry)
+    entries = dfa.state_count * b
+    short = max(dfa.state_count, entries if entries > 1 << 20 else 0) - len(text)
+    if short > 0:
+        text = "#" * max(short - 1, 1) + "\n" + text
+    return text

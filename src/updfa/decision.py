@@ -31,13 +31,7 @@ from typing import Sequence
 from .automaton import Dfa, SccType, condensation, minimize
 from .errors import PreconditionViolated
 from .numeration import UpSet, _with_least_period, value
-from .pascal import (
-    PascalParams,
-    QuotientFailure,
-    _scc_quotient,
-    accepted_residues,
-    is_pascal_quotient,
-)
+from .pascal import PascalParams, QuotientFailure, _scc_quotient, accepted_residues
 
 # decide calls none of these; they stay bound here because the benchmark's
 # tracer (bench/spans.py) wraps the layers of a decision by their names in
@@ -45,6 +39,7 @@ from .pascal import (
 # and rebuilds nothing
 from .automaton import accepts, isomorphic  # noqa: E402, F401
 from .numeration import build_minimal_automaton  # noqa: E402, F401
+from .pascal import is_pascal_quotient  # noqa: E402, F401
 
 
 @dataclass(frozen=True)
@@ -89,8 +84,8 @@ class _Verified:
     `transient` lists every other state after its transient successors;
     rep is -1 there until _read_parameters fills it in.  `period` is p_c,
     the lcm of the quotient periods.  A group automaton is one quotient:
-    rep is range(n), nothing is transient, and pred0 and pred1, which
-    serve only 0-circuit and transient states, stay empty.
+    rep is range(n), nothing is transient, and pred1, which only UP4
+    reads, stays empty.
     """
 
     period: int
@@ -112,9 +107,9 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
     letters is forward-closed, so a minimal group automaton is one scc
     with internal positive-digit transitions: UP3 and UP4 are vacuous,
     and UP2 is the single quotient test on the whole automaton.  Otherwise
-    UP2 tests each positive-digit scc on the automaton's own columns and
-    state ids, and the test writes the scc's 0-predecessors and labels
-    straight into the arrays _Verified hands on.
+    UP2 tests each positive-digit scc.  Either way the quotient test runs
+    on the automaton's own columns and state ids, and writes the
+    0-predecessors and labels straight into the arrays _Verified hands on.
     """
     n = dfa.state_count
     cols = dfa.columns
@@ -129,13 +124,13 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
         diag = "state and its 0-successor differ on finality"
         return ConditionFailure("UP0", s, diag), None
 
+    label = array("i", (-1,)) * n
+    pred0 = array("i", (-1,)) * n
     if dfa.is_group:
-        check = is_pascal_quotient(dfa)
-        if not check.accepted:
-            return ConditionFailure("UP2", 0, check.failure.value), None
-        params = [check.params] * n
-        none = array("i")
-        return None, _Verified(check.params.p, params, check.labels, range(n), none, none, ())
+        found = _scc_quotient(dfa, range(n), dfa.initial, pred0, label)
+        if isinstance(found, QuotientFailure):
+            return ConditionFailure("UP2", 0, found.value), None
+        return None, _Verified(found.p, [found] * n, label, range(n), pred0, array("i"), ())
 
     cond = condensation(dfa)
     types = cond.scc_type
@@ -162,9 +157,7 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
     # the scc's own members
     col1 = cols[1]
     params: list[PascalParams | None] = [None] * n
-    label = array("i", (-1,)) * n
     rep = array("i", (-1,)) * n
-    pred0 = array("i", (-1,)) * n
     pred1 = array("i", (-1,)) * n
     period = 1
     for c in range(cond.count):
@@ -199,10 +192,10 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
 def check_conditions(dfa: Dfa) -> DecisionResult:
     """Decide the structural conditions on a minimal complete automaton.
 
-    Check order is UP0, then, for a group automaton, UP2 as one quotient
-    test of the whole automaton, else the condensation and UP3, UP2, UP4,
-    failing on the first violation; everything is O(base * n).  The
-    verdict carries no set parameters; decide() adds them.
+    Check order is UP0, then UP2 as one quotient test of a group
+    automaton, else the condensation and UP3, UP2 (one quotient test per
+    positive-digit scc) and UP4, failing on the first violation; all
+    O(base * n).  The verdict carries no set parameters; decide() adds them.
     """
     if not dfa.is_complete:
         raise PreconditionViolated("check_conditions requires a complete automaton")

@@ -30,7 +30,8 @@ class NotCanonical(UpdfaError):
 
 
 class StateLimitExceeded(UpdfaError):
-    """A worklist closure grew past its configured state limit."""
+    """An automaton would have more states than a limit allows: a
+    worklist closure, or a Pascal automaton of p*psi states."""
 
 
 class FormatError(UpdfaError):

@@ -11,9 +11,9 @@ closed scc of it, is (up to isomorphism) a quotient of some Pascal
 automaton, m being the number of states tested.  It works on the
 automaton's own state ids and its cached successor column per digit
 (Dfa.columns); nothing is relabelled and no sub-automaton is built.  The
-root is the initial state, or the scc's least member.  The decision runs
-steps 0-3 on each positive-digit scc itself, writing 0-predecessors and
-labels into arrays it shares across the sccs.
+root is the initial state, or the scc's least member.  _scc_quotient
+runs all four steps; the decision calls it on a group automaton or on
+each positive-digit scc, sharing its 0-predecessor and label arrays.
 
   Step 0  every digit permutes the states tested, and 0 keeps finality;
   Step 1  compute the g-successor of every state from the 0-predecessors
@@ -38,8 +38,8 @@ from itertools import count
 from typing import Iterable, Sequence
 
 from .automaton import Dfa
-from .errors import NotCoprime, PreconditionViolated
-from .numeration import _prime_factors, format_list
+from .errors import NotCoprime, PreconditionViolated, StateLimitExceeded
+from .numeration import DEFAULT_STATE_LIMIT, _prime_factors, format_list
 
 
 class QuotientFailure(enum.Enum):
@@ -129,13 +129,19 @@ def multiplicative_order(base: int, p: int) -> int:
 def build_pascal(p: int, remainders: Iterable[int], base: int) -> Dfa:
     """The Pascal automaton P_{p,R}: states Z/pZ x Z/psiZ, where reading a
     digit a at (s, t) adds a*base^t to the tracked value mod p and bumps the
-    tracked length mod psi.  State (s, t) gets id s*psi + t."""
+    tracked length mod psi.  State (s, t) gets id s*psi + t.  Raises
+    StateLimitExceeded past numeration.DEFAULT_STATE_LIMIT states."""
     if p < 1 or math.gcd(p, base) != 1:
         raise NotCoprime(f"gcd({base}, {p}) != 1")
     rem = set(remainders)
     if any(not 0 <= r < p for r in rem):
         raise PreconditionViolated(f"remainders {rem} not within [0, {p})")
+    # p alone bounds the state count before psi costs a factoring of p
+    if p > DEFAULT_STATE_LIMIT:
+        raise StateLimitExceeded(f"p = {p} exceeds {DEFAULT_STATE_LIMIT} states")
     psi = multiplicative_order(base, p)
+    if p * psi > DEFAULT_STATE_LIMIT:
+        raise StateLimitExceeded(f"p*psi = {p * psi} exceeds {DEFAULT_STATE_LIMIT} states")
     powers = [1] * psi
     for t in range(1, psi):
         powers[t] = powers[t - 1] * base % p
@@ -147,43 +153,6 @@ def build_pascal(p: int, remainders: Iterable[int], base: int) -> Dfa:
                 flat.append(((s + a * powers[t]) % p) * psi + t2)
     finals = frozenset(s * psi + t for s in rem for t in range(psi))
     return Dfa(base, p * psi, 0, flat, finals)
-
-
-def _analyze(
-    col1: array, pred0: array | dict[int, int], flags: bytes, init: int, base: int
-) -> tuple[PascalParams, list[int], set[int]] | QuotientFailure:
-    """Step 2: read the candidate parameters off the 1-column and the
-    0-predecessors, g being pred0 after digit 1.
-
-    p and R come from the g-circuit through the root `init`; (h, k) is
-    the smallest mixed circuit g^h 0^k through it, found by stepping at
-    most psi times backward along 0 and testing arrival on the g-circuit.
-    Also hands back the g-circuit, its states in order and as a set,
-    which step 3 reuses.
-
-    Trusts the preconditions (group automaton, zero-stable); returns the
-    failed step instead when the parameters cannot exist.
-    """
-    circuit = [init]
-    append = circuit.append
-    cur = pred0[col1[init]]
-    while cur != init:
-        append(cur)
-        cur = pred0[col1[cur]]
-    p = len(circuit)
-
-    if math.gcd(p, base) != 1:
-        return QuotientFailure.PERIOD_NOT_COPRIME
-    remainders = frozenset(r for r, s in enumerate(circuit) if flags[s])
-    psi = multiplicative_order(base, p)
-
-    on_circuit = set(circuit)
-    cur = init
-    for k in range(1, psi + 1):
-        cur = pred0[cur]
-        if cur in on_circuit:
-            return PascalParams(p, remainders, psi, circuit.index(cur), k), circuit, on_circuit
-    return QuotientFailure.NO_MIXED_CIRCUIT
 
 
 def build_quotient(params: PascalParams, base: int) -> Dfa:
@@ -219,7 +188,8 @@ def _scc_quotient(
     labels: array | dict[int, int],
 ) -> PascalParams | QuotientFailure:
     """Steps 0-3 on `states`, distinct states that every transition maps
-    among themselves (a closed scc, or all of them), rooted at `init`.
+    among themselves (a closed scc, or all of them), rooted at `init`:
+    the parameters, or the failure of the first step that rejects.
 
     The 0-predecessor of each state tested goes into `pred0`, and on
     success its label into `labels`, both indexed by state id.  The caller
@@ -263,11 +233,31 @@ def _scc_quotient(
         for a in range(2, b):
             if list(map(cols[a].__getitem__, states)) != list(map(cols[a - 1].__getitem__, g)):
                 return QuotientFailure.SIMPLIFICATION_LOSS
-    found = _analyze(col1, pred0, dfa._final_bytes, init, b)
-    if isinstance(found, QuotientFailure):
-        return found
-    params, circuit, on_circuit = found
-    p, h, k = params.p, params.h, params.k
+    # step 2: p and R come from the g-circuit through the root, g being
+    # pred0 after digit 1; step 0 made g a permutation, so the walk closes
+    circuit = [init]
+    append = circuit.append
+    cur = pred0[col1[init]]
+    while cur != init:
+        append(cur)
+        cur = pred0[col1[cur]]
+    p = len(circuit)
+    if math.gcd(p, b) != 1:
+        return QuotientFailure.PERIOD_NOT_COPRIME
+    flags = dfa._final_bytes
+    remainders = frozenset(r for r, s in enumerate(circuit) if flags[s])
+    psi = multiplicative_order(b, p)
+    # (h, k) is the smallest mixed circuit g^h 0^k through the root; 0^psi
+    # is the identity on a quotient, so psi backward steps along 0 suffice
+    on_circuit = set(circuit)
+    cur = init
+    for k in range(1, psi + 1):
+        cur = pred0[cur]
+        if cur in on_circuit:
+            break
+    else:
+        return QuotientFailure.NO_MIXED_CIRCUIT
+    h = circuit.index(cur)
     # a quotient has exactly p*k states; bailing out now also keeps an
     # adversarial p*k >> m from blowing the linear budget below
     if p * k != m:
@@ -291,7 +281,7 @@ def _scc_quotient(
     for t, level in enumerate(levels):
         for x, lab in zip(level, count(t, k)):
             labels[x] = lab
-    return params
+    return PascalParams(p, remainders, psi, h, k)
 
 
 def is_pascal_quotient(dfa: Dfa, members: Sequence[int] | None = None) -> QuotientCheck:
@@ -301,11 +291,14 @@ def is_pascal_quotient(dfa: Dfa, members: Sequence[int] | None = None) -> Quotie
     O(base * m) for m states tested, once dfa.columns is cached: a test of
     `members` allocates nothing of the size of the automaton, so its
     labels come as a dict over `members`.  Never raises on a negative
-    answer; raises PreconditionViolated unless `members` lists distinct
-    states of the automaton, at least one, and no transition leaves them.
+    answer; raises PreconditionViolated on a partial automaton, or unless
+    `members` lists distinct states of the automaton, at least one, and no
+    transition leaves them.
     """
     n = dfa.state_count
     if members is None:
+        if not dfa.is_complete:
+            raise PreconditionViolated("is_pascal_quotient requires a complete automaton")
         labels = array("i", (-1,)) * n
         found = _scc_quotient(dfa, range(n), dfa.initial, array("i", (-1,)) * n, labels)
     else:

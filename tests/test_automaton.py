@@ -408,6 +408,21 @@ def test_write_parse_round_trip(d):
     assert parse_dfa(write_dfa(d)) == d
 
 
+def test_write_pads_sparse_automata_to_what_the_parser_needs():
+    # both of the parser's size rules would refuse these texts unpadded:
+    # 100 states in 28 characters, and 1.2 million table entries, above
+    # 2**20, in a few lines; one comment line in the header makes up the
+    # length, and a complete automaton never needs it
+    n = 600_000
+    trans = [MISSING] * (2 * n)
+    trans[0], trans[3], trans[2 * n - 1] = 1, n - 1, 0
+    for d in (Dfa(2, 100, 0, [MISSING] * 200, frozenset()), Dfa(2, n, 0, trans, {1})):
+        text = write_dfa(d)
+        assert parse_dfa(text) == d
+        assert sum(line.startswith("#") for line in text.splitlines()) == 1
+    assert not write_dfa(powers_of_two_dfa()).startswith("#")
+
+
 # the line-by-line reader is the reference: on any text, parse_dfa returns
 # what it returns, or raises the FormatError it raises, at the same line
 def _line_parse(text):

@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -301,6 +302,18 @@ def test_gen_pascal_stdout(capsys):
     from updfa import parse_dfa, isomorphic
 
     assert isomorphic(parse_dfa(out), build_pascal(3, [2], 2))
+
+
+@pytest.mark.parametrize("p", [100003, 10**18 + 9])
+def test_gen_pascal_refuses_more_states_than_the_limit(capsys, p):
+    # p*psi is about 10^10 at p = 100003, and at p = 10^18 + 9 computing
+    # psi alone takes longer than this test allows
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "gen", "pascal", f"p={p}", "R=0")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.rstrip().endswith("exceeds 1000000 states")
 
 
 # ---------------------------------------------------------------- info

@@ -669,17 +669,18 @@ def test_decide_computes_each_fact_once(monkeypatch):
     assert calls["accepts"] == calls["isomorphic"] == 0
     assert calls["build_minimal_automaton"] == 0
     # a minimal group automaton is one scc: one quotient test decides it,
-    # rejected or accepted, and no condensation runs
-    calls["is_pascal_quotient"] = calls["condensation"] = 0
+    # rejected or accepted, reached the same way as on the condensation
+    # path, and no condensation runs
+    calls["_scc_quotient"] = calls["condensation"] = 0
     res = decide(EVEN_ONES)
     assert res.failure == ConditionFailure("UP2", 0, "PeriodNotCoprime")
-    assert calls["is_pascal_quotient"] == 1
+    assert calls["_scc_quotient"] == 1
     assert calls["condensation"] == 0
-    calls["is_pascal_quotient"] = 0
+    calls["_scc_quotient"] = 0
     res = decide(build_pascal(7, [6], 2))
     assert res.params == UpSet.from_parts(7, [6])
-    assert calls["is_pascal_quotient"] == 1
-    assert calls["condensation"] == 0
+    assert calls["_scc_quotient"] == 1
+    assert calls["is_pascal_quotient"] == calls["condensation"] == 0
     assert calls["accepts"] == calls["isomorphic"] == 0
     assert calls["build_minimal_automaton"] == 0
 
@@ -687,9 +688,9 @@ def test_decide_computes_each_fact_once(monkeypatch):
 def check_certificate(dfa: Dfa, v) -> None:
     """Check the per-state facts _conditions returns against the automaton
     by local equations, O(b) per state: the quotient equations and
-    finality at every positive-digit state, the inverse digits 0 and 1
-    there, the embedding equations at every 0-circuit state, and the
-    order of the transient states."""
+    finality at every positive-digit state, the inverse digit 0 there and
+    digit 1 where it is recorded, the embedding equations at every
+    0-circuit state, and the order of the transient states."""
     n, b, trans = dfa.state_count, dfa.base, dfa.transitions
     flags = dfa._final_bytes
     transient = list(v.transient)
@@ -697,10 +698,10 @@ def check_certificate(dfa: Dfa, v) -> None:
     assert len(pos) == len(transient)
     positive = [z for z in range(n) if v.params[z] is not None]
     assert v.period == math.lcm(*(v.params[z].p for z in positive))
-    # pred0 and pred1 serve only 0-circuit and transient states; the group
-    # path, which has neither, leaves them empty
-    preds = (v.pred0, v.pred1) if len(v.pred0) else ()
-    assert preds or not transient
+    # pred1 serves only UP4; the group path, which has no 0-circuit and
+    # no transient state, leaves it empty
+    preds = (v.pred0, v.pred1) if len(v.pred1) else (v.pred0,)
+    assert len(v.pred1) or not transient
     for z in positive:
         prm = v.params[z]
         p, h, k = prm.p, prm.h, prm.k

@@ -26,8 +26,7 @@ from updfa import (
     multiplicative_order,
     value,
 )
-from updfa.errors import NotCoprime, PreconditionViolated
-from updfa.pascal import _analyze
+from updfa.errors import NotCoprime, PreconditionViolated, StateLimitExceeded
 
 from test_automaton import EVEN_ONES, MISSING, powers_of_two_dfa
 
@@ -80,6 +79,16 @@ def test_pascal_rejects_bad_inputs():
         build_pascal(4, [0], 2)
     with pytest.raises(PreconditionViolated):
         build_pascal(5, [5], 2)
+    # p*psi states are bounded, p alone before psi is computed, and after
+    # the coprimality and remainder checks
+    big = 10**18 + 9
+    for p in (100003, big):
+        with pytest.raises(StateLimitExceeded):
+            build_pascal(p, [0], 2)
+    with pytest.raises(NotCoprime):
+        build_pascal(2 * big, [0], 2)
+    with pytest.raises(PreconditionViolated):
+        build_pascal(big, [big], 2)
 
 
 def test_pascal_run_characterization():
@@ -181,6 +190,17 @@ def test_quotient_test_on_a_closed_scc():
     for bad in ([], [n], [-1, *range(n)], list(range(n)) + [0]):
         with pytest.raises(PreconditionViolated):
             is_pascal_quotient(d, bad)
+
+
+def test_quotient_test_refuses_a_partial_automaton():
+    # the whole-automaton mode names itself; the members mode refuses the
+    # missing target as a transition that leaves the states
+    d = Dfa(2, 1, 0, [MISSING, 0], frozenset())
+    with pytest.raises(PreconditionViolated) as exc:
+        is_pascal_quotient(d)
+    assert str(exc.value) == "is_pascal_quotient requires a complete automaton"
+    with pytest.raises(PreconditionViolated, match="transitions leave the given states"):
+        is_pascal_quotient(d, [0])
 
 
 def sccs_below_a_root(*units: Dfa) -> Dfa:
@@ -349,10 +369,11 @@ def test_analyze_trivial_quotient_of_full_pascal():
 
 
 def test_analyze_rejects_non_coprime_circuit():
-    _, _, pred0 = zero_and_g(EVEN_ONES)
-    col1 = EVEN_ONES.columns[1]
-    found = _analyze(col1, pred0, EVEN_ONES._final_bytes, EVEN_ONES.initial, 2)
-    assert found is QuotientFailure.PERIOD_NOT_COPRIME
+    # the g-circuit has length 2 in base 2: step 2 rejects the automaton
+    # in both modes of the test
+    for members in (None, [0, 1]):
+        check = is_pascal_quotient(EVEN_ONES, members)
+        assert check.failure is QuotientFailure.PERIOD_NOT_COPRIME
 
 
 def test_analyze_rejects_missing_mixed_circuit():
