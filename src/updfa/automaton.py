@@ -185,7 +185,7 @@ def validate(dfa: Dfa) -> None:
         raise BadStateId(f"initial state {dfa.initial} out of range")
     trans = dfa.transitions
     if len(trans) != n * dfa.base:
-        raise BadDigit(
+        raise PreconditionViolated(
             f"transition table has {len(trans)} entries, "
             f"expected {n * dfa.base}"
         )

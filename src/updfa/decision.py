@@ -265,14 +265,13 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
     Every other state has a representative, so ex is 0 and pz0 is the
     finality of rep there.  rep(q) goes into the transient slots of
     verified.rep, so a second reading gives the same answer.  Then p =
-    p_c * b^ex(initial), R is the union of the residues of the
-    representatives the descent from the initial state reaches, each
-    spread over the stride of the word that reached it, and n is a
-    mismatch iff its canonical word leads to a state q with final(q) !=
-    pz0(q).  Every fact used is an equation checked on the automaton, so
-    the answer is right even when the automaton is not minimal; only p may
-    then need reducing to the least period, which the last step does
-    anyway.
+    p_c * b^ex(initial), and one descent from the initial state lists R
+    and I: R is the union of the residues of the first representative on
+    each word, spread over the stride of that word, and n is a mismatch
+    iff its canonical word leads to a state q with final(q) != pz0(q).
+    The answer is right even when the automaton is not minimal, since
+    every fact used is an equation checked on it; only p may then need
+    reducing to the least period, which the last step does anyway.
     """
     b = dfa.base
     init = dfa.initial
@@ -305,49 +304,40 @@ def _read_parameters(dfa: Dfa, verified: _Verified) -> UpSet:
         deep[q] = deep[succ[0]] or any(deep[t] or off(t) for t in succ[1:])
 
     # descend until a representative answers, and spread its residues
-    # over the stride of R that the word read so far selects; b^length and
-    # the word's value are built only there and at mismatches, so a long
-    # 0-chain above an empty sink costs no big-int arithmetic
+    # over the stride of R that the word read so far selects; below it,
+    # follow only the words to a mismatch.  b^length and the word's value
+    # are built only at representatives and mismatches, so a long 0-chain
+    # above an empty sink costs no big-int arithmetic
     p = verified.period * b ** ex[init]
     rem: set[int] = set()
+    mismatches = []
     word: list[int] = []  # the digits read to the state popped last
-    stack = [(init, 0, ())]  # state, and the word to it as word[:k] + last
+    stack = [(init, 0, (), True)]  # state, word[:k] + last, no representative yet
     while stack:
-        q, k, last = stack.pop()
+        q, k, last, above = stack.pop()
         word[k:] = last
         z = rep[q]
-        if z == -1:
-            row = q * b
-            k = len(word)
-            stack.extend((trans[row + a], k, (a,)) for a in range(b))
+        # off(q) on the z already read, at a canonical word: empty or ending in a digit > 0
+        if (not word or word[-1]) and flags[q] != (flags[z] if z != -1 else pz0[q]):
+            mismatches.append(value(word, b))
+        if above and z != -1:
+            above = False
+            params = verified.params[z]
+            if params.remainders:
+                weight = b ** len(word)
+                v = value(word, b)
+                stride = params.p * weight
+                for m in accepted_residues(params, label[z], b):
+                    rem.update(range(v + m * weight, p, stride))
+        # below a representative, only a deep state has a child to follow
+        if not (above or deep[q]):
             continue
-        params = verified.params[z]
-        if not params.remainders:
-            continue
-        weight = b ** len(word)
-        v = value(word, b)
-        stride = params.p * weight
-        for m in accepted_residues(params, label[z], b):
-            rem.update(range(v + m * weight, p, stride))
-
-    # only words that end in a positive digit (or the empty word) are
-    # canonical expansions; prune to the states a mismatch lies below
-    mismatches = []
-    if deep[init] or off(init):
-        stack = [(init, 0, (), True)]  # ..., whether the word is canonical
-        while stack:
-            q, k, last, canonical = stack.pop()
-            word[k:] = last
-            if canonical and off(q):
-                mismatches.append(value(word, b))
-            row = q * b
-            k = len(word)
-            if deep[trans[row]]:
-                stack.append((trans[row], k, (0,), False))
-            for a in range(1, b):
-                t = trans[row + a]
-                if deep[t] or off(t):
-                    stack.append((t, k, (a,), True))
+        row = q * b
+        k = len(word)
+        for a in range(b):
+            t = trans[row + a]
+            if above or deep[t] or (a and off(t)):
+                stack.append((t, k, (a,), above))
     mismatches.sort()
     return _with_least_period(p, frozenset(rem), mismatches)
 

@@ -159,11 +159,14 @@ def build_quotient(params: PascalParams, base: int) -> Dfa:
     """The quotient automaton A_{(h,k)} on Z/pZ x Z/kZ (two letters 0, g).
 
     Reading 0 bumps t until the row wraps: (s, k-1).0 = ((s-h)/base^k, 0);
-    reading g adds base^t to s.  State (s, t) gets id s*k + t.
+    reading g adds base^t to s.  State (s, t) gets id s*k + t.  Raises
+    StateLimitExceeded past numeration.DEFAULT_STATE_LIMIT states.
     """
     p, h, k = params.p, params.h, params.k
     if math.gcd(p, base) != 1:
         raise NotCoprime(f"gcd({base}, {p}) != 1")
+    if p * k > DEFAULT_STATE_LIMIT:
+        raise StateLimitExceeded(f"p*k = {p * k} exceeds {DEFAULT_STATE_LIMIT} states")
     inv_k = pow(pow(base, -1, p), k, p)
     powers = [1] * k
     for t in range(1, k):

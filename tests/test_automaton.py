@@ -298,6 +298,15 @@ def test_validate_rejects_out_of_range_transition():
         Dfa(base=2, state_count=2, initial=0, transitions=(0, 1, 1, 9), finals=frozenset())
     with pytest.raises(BadStateId):
         Dfa(base=2, state_count=2, initial=0, transitions=(0, 1, 1, -3), finals=frozenset())
+    # a target that does not fit the 4-byte table
+    with pytest.raises(BadStateId):
+        Dfa(base=2, state_count=2, initial=0, transitions=(0, 1, 1, 2**31), finals=frozenset())
+
+
+def test_validate_rejects_a_table_of_the_wrong_length():
+    for table in ([0, 0], [0] * 7):
+        with pytest.raises(PreconditionViolated, match="expected 6"):
+            Dfa(2, 3, 0, table, frozenset())
 
 
 def test_validate_rejects_bad_finals():

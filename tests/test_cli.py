@@ -25,7 +25,7 @@ from updfa.cli import bench_automaton, main
 
 from conftest import subprocess_env
 from test_automaton import EVEN_ONES, powers_of_two_dfa
-from test_decision import base_power_dfa, up4_instance
+from test_decision import base_power_dfa, instance, mutate, up4_instance
 from test_pascal import copies_below_a_chain
 
 CONDITIONS = {"UP0", "UP2", "UP3", "UP4"}
@@ -259,6 +259,9 @@ def test_gen_requires_parameters(capsys):
     code, _, err = run(capsys, "gen", "upset", "p=3", "R=zebra")
     assert code == 2
     assert "integer list" in err
+    code, _, err = run(capsys, "gen", "upset", "p7")
+    assert code == 2
+    assert "expected key=value, got 'p7'" in err
 
 
 @pytest.mark.parametrize(
@@ -337,6 +340,22 @@ def test_info_rejected_quotient(tmp_path, capsys):
     code, out, _ = run(capsys, "info", write_tmp(tmp_path, EVEN_ONES))
     assert code == 0
     assert "scc 0 pascal rejected (PeriodNotCoprime)" in out.splitlines()
+
+
+def test_info_positive_digit_scc_that_is_not_closed(tmp_path, capsys):
+    # the 1-loop at state 2 makes it a positive-digit scc of its own,
+    # whose 0-edge leaves it
+    path = write_tmp(tmp_path, mutate(instance(), 2, 1, 2))
+    code, out, _ = run(capsys, "info", path)
+    assert code == 0
+    lines = out.splitlines()
+    assert "scc 4 size=1 type=TypeOne descendants=3" in lines
+    assert "scc 4 pascal rejected (transitions leave the scc)" in lines
+    code, out, _ = run(capsys, "--json", "info", path)
+    assert code == 0
+    scc = json.loads(out)["sccs"][4]
+    assert scc["pascal"] is None
+    assert scc["pascal_failure"] == "transitions leave the scc"
 
 
 def test_info_powers_of_two(tmp_path, capsys):

@@ -631,6 +631,8 @@ def test_extract_rejects_automata_failing_the_conditions():
         extract_parameters(minimize(powers_of_two_dfa()))
     with pytest.raises(PreconditionViolated, match="UP2"):
         extract_parameters(EVEN_ONES)
+    with pytest.raises(PreconditionViolated, match="complete"):
+        extract_parameters(Dfa(2, 1, 0, [0, -1], frozenset()))
 
 
 def test_decide_computes_each_fact_once(monkeypatch):

@@ -107,6 +107,13 @@ def test_representation_rejects_negatives():
         representation(-1, 2)
 
 
+def test_representation_and_closure_reject_small_bases():
+    with pytest.raises(BaseTooSmall):
+        representation(3, 1)
+    with pytest.raises(BaseTooSmall):
+        build_minimal_automaton(ALL_NATURALS, 1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**9), st.integers(2, 10))
 def test_value_representation_round_trip(n, base):
@@ -191,6 +198,8 @@ def test_sentinels():
     for n in range(20):
         assert not membership(EMPTY_SET, n)
         assert membership(ALL_NATURALS, n)
+    with pytest.raises(PreconditionViolated):
+        membership(ALL_NATURALS, -1)
 
 
 def test_from_parts_canonicalizes():

@@ -27,6 +27,7 @@ from updfa import (
     value,
 )
 from updfa.errors import NotCoprime, PreconditionViolated, StateLimitExceeded
+from updfa.numeration import DEFAULT_STATE_LIMIT
 
 from test_automaton import EVEN_ONES, MISSING, powers_of_two_dfa
 
@@ -455,8 +456,20 @@ def test_quotient_params_validation():
         PascalParams(5, frozenset(), 4, 5, 1)
     with pytest.raises(PreconditionViolated):
         PascalParams(5, frozenset(), 4, 0, 5)
+    with pytest.raises(PreconditionViolated):
+        PascalParams(0, frozenset(), 1, 0, 1)
+    with pytest.raises(PreconditionViolated):
+        PascalParams(5, frozenset(), 0, 0, 1)
     with pytest.raises(NotCoprime):
         build_quotient(PascalParams(4, frozenset({1}), 1, 0, 1), 2)
+    # p*k states are refused before any list is built, and after the
+    # coprimality check
+    with pytest.raises(StateLimitExceeded):
+        build_quotient(PascalParams(1000003, frozenset({0}), 1, 0, 1), 2)
+    with pytest.raises(StateLimitExceeded):
+        build_quotient(PascalParams(1001, frozenset(), 1000, 0, 1000), 2)
+    with pytest.raises(NotCoprime):
+        build_quotient(PascalParams(2 * DEFAULT_STATE_LIMIT, frozenset({0}), 1, 0, 1), 2)
 
 
 # ---------------------------------------------------------------- full check
@@ -540,6 +553,22 @@ def test_rejects_unreachable_states():
     check = is_pascal_quotient(d)
     assert not check.accepted
     assert check.failure == QuotientFailure.NOT_ISOMORPHIC
+
+
+def test_rejects_g_edges_that_do_not_rotate_their_level():
+    # c_i = i and l_i = 3 + i: 0 swaps c_i and l_i, 1 maps c_i to l_{i+1}
+    # and l_i to c_{i+1}.  The g-circuit c_0 c_1 c_2 gives p = 3, the mixed
+    # circuit 0^2 gives k = 2, the levels are disjoint and the wrap edges
+    # hold; only g on level 1 fails, adding 1 where it must add 2
+    trans = []
+    for other in (3, 0):
+        for i in range(3):
+            trans += [other + i, other + (i + 1) % 3]
+    d = Dfa(2, 6, 0, trans, frozenset({0, 3}))
+    assert is_group_automaton(d)
+    assert d.is_zero_stable
+    for check in (is_pascal_quotient(d), is_pascal_quotient(d, range(6))):
+        assert check.failure == QuotientFailure.NOT_ISOMORPHIC
 
 
 def test_format_params():
