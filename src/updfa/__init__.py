@@ -17,6 +17,7 @@ from .automaton import (
     isomorphic,
     minimize,
     parse_dfa,
+    successor_sccs,
     validate,
     write_dfa,
 )
@@ -59,7 +60,6 @@ from .pascal import (
     build_quotient,
     format_params,
     is_pascal_quotient,
-    multiplicative_order,
 )
 
 __version__ = "0.1.0"
@@ -104,9 +104,9 @@ __all__ = [
     "isomorphic",
     "membership",
     "minimize",
-    "multiplicative_order",
     "parse_dfa",
     "representation",
+    "successor_sccs",
     "validate",
     "value",
     "write_dfa",

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, count, repeat
-from operator import floordiv, mod
+from operator import eq, floordiv, mod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -77,7 +77,14 @@ class Dfa:
         transitions: Mapping[tuple[int, int], int],
         finals: Iterable[int],
     ) -> "Dfa":
-        """Build a Dfa from a {(state, digit): state} mapping, validating ids."""
+        """Build a Dfa from a {(state, digit): state} mapping, validating ids.
+
+        As in `parse_dfa`, a table of more than max(2**20, len(transitions) +
+        len(finals)) entries is refused, with PreconditionViolated, before it
+        is allocated.
+        """
+        finals = frozenset(finals)
+        _check_table_size(state_count, base, len(transitions) + len(finals), PreconditionViolated)
         table = array("i", (MISSING,)) * (state_count * base)
         for (q, a), q2 in transitions.items():
             if not 0 <= a < base:
@@ -85,7 +92,7 @@ class Dfa:
             if not 0 <= q < state_count or not 0 <= q2 < state_count:
                 raise BadStateId(f"transition ({q}, {a}) -> {q2} out of range")
             table[q * base + a] = q2
-        return cls(base, state_count, initial, table, frozenset(finals))
+        return cls(base, state_count, initial, table, finals)
 
     def step(self, state: int, digit: int) -> int:
         """Successor of `state` by `digit`, or -1 if undefined."""
@@ -154,10 +161,10 @@ class Condensation:
     """SCC partition of a Dfa with per-scc classification.
 
     `scc_of[s]` is the id of state s's scc, one ``array("i")`` slot per
-    state, and `descendants[c]` the set of immediate successor sccs of c
-    in the component graph; scc ids are reverse topological, so every edge
-    of the component graph goes to a smaller id.  TypeTwo sccs are simple
-    circuits labelled only by the digit 0; TypeOne sccs contain an
+    state, and `scc_members[c]` the states of scc c.  Ids are reverse
+    topological, so every edge of the component graph goes to a smaller
+    id; `successor_sccs` reads the edges of one scc.  TypeTwo sccs are
+    simple circuits labelled only by the digit 0; TypeOne sccs contain an
     internal transition with a positive digit; Trivial sccs are singletons
     with no internal transition.
     """
@@ -165,7 +172,6 @@ class Condensation:
     scc_of: array
     scc_members: tuple[tuple[int, ...], ...]
     scc_type: tuple[SccType, ...]
-    descendants: tuple[frozenset[int], ...]
 
     @property
     def count(self) -> int:
@@ -408,14 +414,14 @@ def isomorphic(a: Dfa, b: Dfa) -> bool:
 
 
 def condensation(dfa: Dfa) -> Condensation:
-    """Tarjan SCC partition plus digit-type classification, O(base * n).
+    """SCC partition (Pearce's Tarjan) plus digit-type classification, O(base * n).
 
     Sccs are numbered in emission order, which is reverse topological.
-    Each digit's column is then read once, as the set of distinct (scc,
-    successor scc) pairs it induces: a pair (c, c) is an internal
-    transition of c, any other pair an edge of the component graph.
-    One algorithm serves every automaton; the decision never needs it on a
-    minimal group automaton, which is a single scc (see
+    Each digit's column is then read once, for the sccs with an internal
+    transition by that digit, which fixes every scc's kind.  The edges
+    between sccs are not listed: `successor_sccs` reads them for one scc
+    on demand.  One algorithm serves every automaton; the decision never
+    needs it on a minimal group automaton, which is a single scc (see
     decision._conditions).
     """
     n, b = dfa.state_count, dfa.base
@@ -510,27 +516,27 @@ def condensation(dfa: Dfa) -> Condensation:
     scc_of = array("i", map((2 * n - 1).__sub__, rindex))
 
     # inside[c] has bit 1 if c has an internal 0-transition and bit 2 if
-    # it has one by a positive digit; ext ends in a -1 sentinel, so a
-    # missing target reads as no scc and a partial automaton classifies too
-    k = len(scc_members)
-    inside = bytearray(k)
-    desc: list[set[int]] = [set() for _ in range(k)]
+    # it has one by a positive digit: each column keeps, at C speed, the
+    # sccs whose state and successor agree; ext ends in a -1 sentinel, so
+    # a missing target matches no scc and a partial automaton classifies too
+    inside = bytearray(len(scc_members))
     ext = scc_of + array("i", (MISSING,))
     for a, col in enumerate(dfa.columns):
         bit = 2 if a else 1
-        for c, c2 in set(zip(scc_of, map(ext.__getitem__, col))):
-            if c2 == c:
-                inside[c] |= bit
-            elif c2 != MISSING:
-                desc[c].add(c2)
+        for c in set(compress(scc_of, map(eq, scc_of, map(ext.__getitem__, col)))):
+            inside[c] |= bit
     kinds = (SccType.TRIVIAL, SccType.TYPE_TWO, SccType.TYPE_ONE, SccType.TYPE_ONE)
 
-    return Condensation(
-        scc_of=scc_of,
-        scc_members=tuple(scc_members),
-        scc_type=tuple(map(kinds.__getitem__, inside)),
-        descendants=tuple(frozenset(d) for d in desc),
-    )
+    return Condensation(scc_of, tuple(scc_members), tuple(map(kinds.__getitem__, inside)))
+
+
+def successor_sccs(dfa: Dfa, cond: Condensation, c: int) -> set[int]:
+    """The immediate successor sccs of scc `c` in the component graph, in
+    O(base * |c|): only the members' rows are read, and nothing of the
+    automaton's size is allocated, so one call per scc stays linear."""
+    b, trans, scc_of = dfa.base, dfa.transitions, cond.scc_of
+    rows = (trans[s * b : s * b + b] for s in cond.scc_members[c])
+    return {scc_of[t] for row in rows for t in row if t != MISSING} - {c}
 
 
 def parse_dfa(text: str) -> Dfa:
@@ -578,6 +584,16 @@ class _Parsed:
         return Dfa(self.base, self.states, self.initial, self.table, finals)
 
 
+def _check_table_size(states: int, base: int, size: int, error: type, *where) -> None:
+    """Raise `error` unless a table of states x base entries fits an input
+    of `size` entries or characters: any input may declare 2**20 entries
+    (4 MB), and a larger one only as many as it has."""
+    limit = max(1 << 20, size)
+    if states * base > limit:
+        entries = f"states {states} x base {base} = {states * base} table entries"
+        raise error(f"{entries} exceed the limit of {limit}", *where)
+
+
 def _ints(parts: list[str], lineno: int) -> list[int]:
     out: list[int] = []
     try:
@@ -617,16 +633,8 @@ def _read_lines(text: str, size: int) -> _Parsed:
                 )
             setattr(got, kw, v)
             # a complete automaton writes a trans line of at least 12
-            # characters per entry, and any header may declare 2**20
-            # entries (4 MB): only a partial automaton is refused here
-            entries = (got.base or 0) * (got.states or 0)
-            limit = max(1 << 20, size)
-            if entries > limit:
-                raise FormatError(
-                    f"states {got.states} x base {got.base} = {entries} table entries"
-                    f" exceed the limit of {limit}",
-                    lineno,
-                )
+            # characters per entry: only a partial automaton is refused here
+            _check_table_size(got.states or 0, got.base or 0, size, FormatError, lineno)
             continue
         base, states = got.base, got.states
         if base is None or states is None:

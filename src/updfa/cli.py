@@ -9,7 +9,6 @@ internal error (its traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import json
 import math
@@ -19,7 +18,7 @@ import time
 import traceback
 from pathlib import Path
 
-from .automaton import Dfa, SccType, condensation, minimize, parse_dfa, write_dfa
+from .automaton import Dfa, SccType, condensation, minimize, parse_dfa, successor_sccs, write_dfa
 from .decision import check_conditions, decide
 from .errors import (
     FormatError,
@@ -28,7 +27,7 @@ from .errors import (
     PreconditionViolated,
     UpdfaError,
 )
-from .numeration import UpSet, build_minimal_automaton, format_list, format_upset
+from .numeration import UpSet, _long_int_output, build_minimal_automaton, format_list, format_upset
 from .pascal import PascalParams, build_pascal, format_params, is_pascal_quotient
 
 
@@ -70,21 +69,6 @@ def _require(kv: dict[str, str], key: str) -> str:
     if key not in kv:
         raise FormatError(f"missing required parameter {key}=...")
     return kv[key]
-
-
-@contextlib.contextmanager
-def _long_int_output():
-    """Lift CPython's 4,300-digit limit on int <-> str conversion (Python
-    >= 3.11) inside the block, since a period can be longer.  Input keeps
-    the limit: reading a numeral of n digits takes O(n^2) time."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 def cmd_decide(args) -> int:
@@ -148,20 +132,20 @@ def cmd_info(args) -> int:
     quotients: list[PascalParams | None] = [None] * cond.count
     for c in range(cond.count):
         members = cond.scc_members[c]
+        succ = successor_sccs(dfa, cond, c)
         entry = {
             "id": c,
             "size": len(members),
             "type": cond.scc_type[c].value,
-            "descendants": sorted(cond.descendants[c]),
+            "descendants": sorted(succ),
             "pascal": None,
             "pascal_failure": None,
         }
         if cond.scc_type[c] is SccType.TYPE_ONE and comp:
             # a positive-digit scc is closed iff it has no successor scc
-            check = None if cond.descendants[c] else is_pascal_quotient(dfa, members)
-            if check is None:
+            if succ:
                 entry["pascal_failure"] = "transitions leave the scc"
-            elif check.accepted:
+            elif (check := is_pascal_quotient(dfa, members)).accepted:
                 quotients[c] = params = check.params
                 entry["pascal"] = {
                     "p": params.p,

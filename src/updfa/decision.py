@@ -28,7 +28,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automaton import Dfa, SccType, condensation, minimize
+from .automaton import Dfa, SccType, condensation, minimize, successor_sccs
 from .errors import PreconditionViolated
 from .numeration import UpSet, _with_least_period, value
 from .pascal import PascalParams, QuotientFailure, _scc_quotient, accepted_residues
@@ -143,7 +143,7 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
             transient.append(cond.scc_members[c][0])
         if types[c] is not SccType.TYPE_TWO:
             continue
-        desc = cond.descendants[c]
+        desc = successor_sccs(dfa, cond, c)
         if len(desc) != 1:
             diag = f"0-circuit scc has {len(desc)} successor sccs, expected 1"
             return ConditionFailure("UP3", c, diag), None
@@ -165,7 +165,7 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
             continue
         # a positive-digit scc is closed iff it has no successor scc, and
         # UP0 has made it zero-stable
-        if cond.descendants[c]:
+        if successor_sccs(dfa, cond, c):
             return ConditionFailure("UP2", c, "transitions leave the scc"), None
         members = cond.scc_members[c]
         found = _scc_quotient(dfa, members, min(members), pred0, label)

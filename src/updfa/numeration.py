@@ -16,7 +16,9 @@ minimal automaton directly, one state per derived set.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -248,5 +250,20 @@ def format_list(xs: Iterable[int]) -> str:
 
 def format_upset(s: UpSet) -> str:
     """Text form used by the CLI: p=<int> R=<list> I=<list>."""
-    rem, mis = format_list(s.remainders), format_list(s.mismatches)
-    return f"p={s.period} R={rem} I={mis}"
+    with _long_int_output():
+        return f"p={s.period} R={format_list(s.remainders)} I={format_list(s.mismatches)}"
+
+
+@contextlib.contextmanager
+def _long_int_output():
+    """Lift CPython's 4,300-digit limit on int <-> str conversion (Python
+    >= 3.11) inside the block, since a period can be longer.  Input keeps
+    the limit: reading a numeral of n digits takes O(n^2) time."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)

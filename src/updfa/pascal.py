@@ -107,12 +107,14 @@ def accepted_residues(params: PascalParams, label: int, base: int) -> frozenset:
     return frozenset((r - s) * step % p for r in params.remainders)
 
 
-def multiplicative_order(base: int, p: int) -> int:
+def _multiplicative_order(base: int, p: int) -> int:
     """Smallest t >= 1 with base^t = 1 (mod p); 1 for p = 1.
 
     The order divides phi(p), so it is phi(p) with each prime factor q
     divided out for as long as base^(t/q) stays 1: two trial divisions and
     O(log^2 p) modular powers instead of a walk of up to p - 1 steps.
+    Trial division is exponential in p's digits, so this stays private: its
+    callers bound p by a circuit length (`_scc_quotient`) or 10^6 (`build_pascal`).
     """
     if p < 1 or math.gcd(base, p) != 1:
         raise NotCoprime(f"gcd({base}, {p}) != 1")
@@ -139,7 +141,7 @@ def build_pascal(p: int, remainders: Iterable[int], base: int) -> Dfa:
     # p alone bounds the state count before psi costs a factoring of p
     if p > DEFAULT_STATE_LIMIT:
         raise StateLimitExceeded(f"p = {p} exceeds {DEFAULT_STATE_LIMIT} states")
-    psi = multiplicative_order(base, p)
+    psi = _multiplicative_order(base, p)
     if p * psi > DEFAULT_STATE_LIMIT:
         raise StateLimitExceeded(f"p*psi = {p * psi} exceeds {DEFAULT_STATE_LIMIT} states")
     powers = [1] * psi
@@ -249,7 +251,7 @@ def _scc_quotient(
         return QuotientFailure.PERIOD_NOT_COPRIME
     flags = dfa._final_bytes
     remainders = frozenset(r for r, s in enumerate(circuit) if flags[s])
-    psi = multiplicative_order(b, p)
+    psi = _multiplicative_order(b, p)
     # (h, k) is the smallest mixed circuit g^h 0^k through the root; 0^psi
     # is the identity on a quotient, so psi backward steps along 0 suffice
     on_circuit = set(circuit)

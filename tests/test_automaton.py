@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import subprocess
+import sys
 import tracemalloc
 from array import array
 from unittest import mock
@@ -25,6 +27,7 @@ from updfa import (
     isomorphic,
     minimize,
     parse_dfa,
+    successor_sccs,
     validate,
     write_dfa,
 )
@@ -37,6 +40,8 @@ from updfa.errors import (
     FormatError,
     PreconditionViolated,
 )
+
+from conftest import subprocess_env
 
 MISSING = -1
 
@@ -291,6 +296,54 @@ def test_from_map_rejects_bad_ids():
         Dfa.from_map(2, 2, 0, {(0, 5): 1}, ())
     with pytest.raises(BaseTooSmall):
         Dfa.from_map(1, 2, 0, {}, ())
+
+
+class _LongMap(dict):
+    """An empty map that reports 2**21 entries, so that the size rule can
+    be tested past 2**20 without building a map that large."""
+
+    def __len__(self):
+        return 1 << 21
+
+
+def test_from_map_table_size_rule():
+    # parse_dfa's rule: 2**20 entries for any input, more only as far as
+    # the entries of the map and the finals reach
+    assert Dfa.from_map(2, 1 << 19, 0, {}, ()).state_count == 1 << 19
+    with pytest.raises(PreconditionViolated, match="exceed the limit of 1048576"):
+        Dfa.from_map(2, (1 << 19) + 1, 0, {}, ())
+    assert Dfa.from_map(2, 1 << 20, 0, _LongMap(), ()).state_count == 1 << 20
+    with pytest.raises(PreconditionViolated, match="exceed the limit of 2097152"):
+        Dfa.from_map(2, (1 << 20) + 1, 0, _LongMap(), ())
+    assert Dfa.from_map(2, (1 << 20) + 1, 0, _LongMap(), (0, 1)).finals == {0, 1}
+
+
+FROM_MAP_UNDER_A_CAP = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from updfa import Dfa, PreconditionViolated
+try:
+    Dfa.from_map(2, 10**9, 0, {}, [])
+except PreconditionViolated as e:
+    print(e)
+"""
+
+
+def test_from_map_refuses_before_it_allocates():
+    # the declared table takes 8 GB; under a 1 GB address-space cap it is
+    # refused, not attempted
+    proc = subprocess.run(
+        [sys.executable, "-c", FROM_MAP_UNDER_A_CAP],
+        capture_output=True,
+        env=subprocess_env(),
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "states 1000000000 x base 2 = 2000000000 table entries"
+        " exceed the limit of 1048576\n"
+    )
 
 
 def test_validate_rejects_out_of_range_transition():
@@ -984,7 +1037,8 @@ def assert_condensation_sound(d):
         else:
             assert ct < cs
             desc[cs].add(ct)
-    assert tuple(frozenset(x) for x in desc) == cond.descendants
+    # the successors read per scc are exactly those of the edges above
+    assert [successor_sccs(d, cond, c) for c in range(cond.count)] == desc
     for c in range(cond.count):
         if not internal[c]:
             expected = SccType.TRIVIAL
@@ -1009,7 +1063,32 @@ def test_condensation_single_scc():
     cond = condensation(EVEN_ONES)
     assert cond.count == 1
     assert cond.scc_type == (SccType.TYPE_ONE,)
-    assert cond.descendants == (frozenset(),)
+    assert successor_sccs(EVEN_ONES, cond, 0) == set()
+
+
+def test_successor_sccs_allocates_nothing_of_the_automaton_size():
+    # a chain of 10^5 transient states, each reading every digit into the
+    # next, above a 64-state 0-circuit with 1-loops: one call reads the
+    # rows of its scc alone, where a copy of scc_of takes 400 KB, so one
+    # call per scc stays linear in the number of sccs
+    n, m = 10**5, 64
+    trans = []
+    for s in range(n - m):
+        trans += [s + 1, s + 1]
+    for s in range(n - m, n):
+        trans += [n - m + (s + 1 - n + m) % m, s]
+    d = Dfa(2, n, 0, trans, frozenset())
+    cond = condensation(d)
+    top, bottom = cond.scc_of[0], cond.scc_of[n - 1]
+    assert len(cond.scc_members[bottom]) == m
+    tracemalloc.start()
+    try:
+        got = successor_sccs(d, cond, top), successor_sccs(d, cond, bottom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ({cond.scc_of[1]}, set())
+    assert peak < 64 * 1024, f"peak {peak} bytes"
 
 
 def test_condensation_trivial_states():

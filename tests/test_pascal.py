@@ -23,11 +23,11 @@ from updfa import (
     is_pascal_quotient,
     isomorphic,
     minimize,
-    multiplicative_order,
     value,
 )
 from updfa.errors import NotCoprime, PreconditionViolated, StateLimitExceeded
 from updfa.numeration import DEFAULT_STATE_LIMIT
+from updfa.pascal import _multiplicative_order
 
 from test_automaton import EVEN_ONES, MISSING, powers_of_two_dfa
 
@@ -36,11 +36,11 @@ from test_automaton import EVEN_ONES, MISSING, powers_of_two_dfa
 
 
 def test_multiplicative_order_goldens():
-    assert multiplicative_order(2, 7) == 3
-    assert multiplicative_order(2, 5) == 4
-    assert multiplicative_order(3, 5) == 4
-    assert multiplicative_order(2, 1) == 1
-    assert multiplicative_order(10, 9) == 1
+    assert _multiplicative_order(2, 7) == 3
+    assert _multiplicative_order(2, 5) == 4
+    assert _multiplicative_order(3, 5) == 4
+    assert _multiplicative_order(2, 1) == 1
+    assert _multiplicative_order(10, 9) == 1
 
 
 def test_multiplicative_order_definition():
@@ -50,7 +50,7 @@ def test_multiplicative_order_definition():
         for base in (2, 3, 4, 5, 10):
             if math.gcd(base, p) != 1:
                 continue
-            psi = multiplicative_order(base, p)
+            psi = _multiplicative_order(base, p)
             assert pow(base, psi, p) == 1 % p
             # the walk the order replaces: the first t with base^t = 1
             acc, t = base % p, 1
@@ -61,9 +61,9 @@ def test_multiplicative_order_definition():
 
 def test_multiplicative_order_rejects_shared_factor():
     with pytest.raises(NotCoprime):
-        multiplicative_order(2, 4)
+        _multiplicative_order(2, 4)
     with pytest.raises(NotCoprime):
-        multiplicative_order(2, 0)
+        _multiplicative_order(2, 0)
 
 
 # ---------------------------------------------------------------- build_pascal
@@ -95,7 +95,7 @@ def test_pascal_rejects_bad_inputs():
 def test_pascal_run_characterization():
     # after any word the state is (value mod p, length mod psi)
     p, base = 5, 2
-    psi = multiplicative_order(base, p)
+    psi = _multiplicative_order(base, p)
     dfa = build_pascal(p, [0, 3], base)
     rng = random.Random(13)
     for _ in range(300):
@@ -116,7 +116,7 @@ def test_pascal_accepts_by_residue():
 
 def test_pascal_walk_realizes_group_action():
     p, base = 5, 2
-    psi = multiplicative_order(base, p)
+    psi = _multiplicative_order(base, p)
     dfa = build_pascal(p, [0, 3], base)
     rng = random.Random(21)
     for _ in range(200):
@@ -291,7 +291,7 @@ def test_scc_test_allocates_nothing_of_the_automaton_size():
 def test_add_g_letter_on_pascal():
     # on P_{p,R} the letter g acts as (s, t) -> (s + base^t, t)
     p, base = 5, 2
-    psi = multiplicative_order(base, p)
+    psi = _multiplicative_order(base, p)
     dfa = build_pascal(p, [0, 3], base)
     zcol, gcol, pred0 = zero_and_g(dfa)
     assert len(gcol) == dfa.state_count
@@ -411,7 +411,7 @@ def test_quotient_golden_rows():
 
 def test_quotient_with_full_k_is_simplified_pascal():
     for p, rem, base in [(3, [2], 2), (5, [0, 3], 2), (7, [6], 2), (5, [1], 3)]:
-        psi = multiplicative_order(base, p)
+        psi = _multiplicative_order(base, p)
         trivial = PascalParams(p, frozenset(rem), psi, 0, psi)
         pascal = build_pascal(p, rem, base)
         zcol, gcol, _ = zero_and_g(pascal)
