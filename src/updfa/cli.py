@@ -147,28 +147,15 @@ def cmd_info(args) -> int:
                 entry["pascal_failure"] = "transitions leave the scc"
             elif (check := is_pascal_quotient(dfa, members)).accepted:
                 quotients[c] = params = check.params
-                entry["pascal"] = {
-                    "p": params.p,
-                    "remainders": sorted(params.remainders),
-                    "psi": params.psi,
-                    "h": params.h,
-                    "k": params.k,
-                }
+                entry["pascal"] = {"p": params.p, "remainders": sorted(params.remainders),
+                                   "psi": params.psi, "h": params.h, "k": params.k}
             else:
                 entry["pascal_failure"] = check.failure.value
         sccs.append(entry)
 
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "states": dfa.state_count,
-                    "complete": comp,
-                    "group": group,
-                    "sccs": sccs,
-                }
-            )
-        )
+        report = {"states": dfa.state_count, "complete": comp, "group": group, "sccs": sccs}
+        print(json.dumps(report))
         return 0
     print(f"states {dfa.state_count}")
     print(f"complete {'true' if comp else 'false'}")
@@ -198,10 +185,7 @@ def bench_automaton(p: int, base: int) -> Dfa:
     if math.gcd(p, base) != 1:
         raise NotCoprime(f"gcd({base}, {p}) != 1")
     inv = pow(base, -1, p)
-    flat = []
-    for e in range(p):
-        for a in range(base):
-            flat.append((e - a) * inv % p)
+    flat = [(e - a) * inv % p for e in range(p) for a in range(base)]
     return Dfa(base, p, 0, flat, frozenset({0}))
 
 
