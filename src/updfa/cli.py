@@ -132,20 +132,16 @@ def cmd_info(args) -> int:
     quotients: list[PascalParams | None] = [None] * cond.count
     for c in range(cond.count):
         members = cond.scc_members[c]
-        succ = successor_sccs(dfa, cond, c)
         entry = {
             "id": c,
             "size": len(members),
             "type": cond.scc_type[c].value,
-            "descendants": sorted(succ),
+            "descendants": sorted(successor_sccs(dfa, cond, c)),
             "pascal": None,
             "pascal_failure": None,
         }
         if cond.scc_type[c] is SccType.TYPE_ONE and comp:
-            # a positive-digit scc is closed iff it has no successor scc
-            if succ:
-                entry["pascal_failure"] = "transitions leave the scc"
-            elif (check := is_pascal_quotient(dfa, members)).accepted:
+            if (check := is_pascal_quotient(dfa, members)).accepted:
                 quotients[c] = params = check.params
                 entry["pascal"] = {"p": params.p, "remainders": sorted(params.remainders),
                                    "psi": params.psi, "h": params.h, "k": params.k}

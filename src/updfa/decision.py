@@ -5,8 +5,8 @@ A minimal complete DFA accepts an ultimately periodic set (by value, least
 significant digit first) iff
 
   UP0  finality is stable under reading 0;
-  UP2  every scc with an internal positive-digit transition, which must be
-       closed under all transitions, is a Pascal-automaton quotient;
+  UP2  every scc with an internal positive-digit transition is closed
+       under all transitions and a Pascal-automaton quotient;
   UP3  every 0-circuit scc has exactly one immediate successor scc, and
        that successor is of the kind checked by UP2;
   UP4  every 0-circuit scc embeds into its successor scc.
@@ -60,6 +60,9 @@ class DecisionResult:
     failure: ConditionFailure | None = None
 
     def to_json_dict(self) -> dict:
+        """The verdict as JSON-ready values.  `period` stays an int, so a
+        caller serializing one of more than 4,300 digits lifts CPython's
+        limit with sys.set_int_max_str_digits first, as the CLI does."""
         out: dict = {"ultimately_periodic": self.ultimately_periodic}
         if self.params is not None:
             out["period"] = self.params.period
@@ -107,9 +110,10 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
     letters is forward-closed, so a minimal group automaton is one scc
     with internal positive-digit transitions: UP3 and UP4 are vacuous,
     and UP2 is the single quotient test on the whole automaton.  Otherwise
-    UP2 tests each positive-digit scc.  Either way the quotient test runs
-    on the automaton's own columns and state ids, and writes the
-    0-predecessors and labels straight into the arrays _Verified hands on.
+    UP2 tests each positive-digit scc, its closure included.  Either way
+    the quotient test runs on the automaton's own columns and state ids,
+    and writes the 0-predecessors and labels straight into the arrays
+    _Verified hands on.
     """
     n = dfa.state_count
     cols = dfa.columns
@@ -163,10 +167,6 @@ def _conditions(dfa: Dfa) -> tuple[ConditionFailure | None, _Verified | None]:
     for c in range(cond.count):
         if types[c] is not SccType.TYPE_ONE:
             continue
-        # a positive-digit scc is closed iff it has no successor scc, and
-        # UP0 has made it zero-stable
-        if successor_sccs(dfa, cond, c):
-            return ConditionFailure("UP2", c, "transitions leave the scc"), None
         members = cond.scc_members[c]
         found = _scc_quotient(dfa, members, min(members), pred0, label)
         if isinstance(found, QuotientFailure):

@@ -6,8 +6,8 @@ transition group is the semidirect product Z/pZ x| Z/psiZ, which is why a
 second letter g (acting like reading 1 then unreading 0) together with 0
 generates everything a minimal automaton of a coprime periodic set can do.
 
-is_pascal_quotient decides in O(base * m) whether a complete DFA, or one
-closed scc of it, is (up to isomorphism) a quotient of some Pascal
+is_pascal_quotient decides in O(base * m) whether a complete DFA, or a
+set of its states, is (up to isomorphism) a quotient of some Pascal
 automaton, m being the number of states tested.  It works on the
 automaton's own state ids and its cached successor column per digit
 (Dfa.columns); nothing is relabelled and no sub-automaton is built.  The
@@ -15,7 +15,8 @@ root is the initial state, or the scc's least member.  _scc_quotient
 runs all four steps; the decision calls it on a group automaton or on
 each positive-digit scc, sharing its 0-predecessor and label arrays.
 
-  Step 0  every digit permutes the states tested, and 0 keeps finality;
+  Step 0  every digit maps the states tested onto themselves, so that
+          they are closed and permuted, and 0 keeps finality;
   Step 1  compute the g-successor of every state from the 0-predecessors
           and the 1-column, and verify that no digit carries more
           information (s.a must equal s.g^a.0 for every state and digit);
@@ -43,6 +44,7 @@ from .numeration import DEFAULT_STATE_LIMIT, _prime_factors, format_list
 
 
 class QuotientFailure(enum.Enum):
+    NOT_CLOSED = "transitions leave the scc"
     NOT_GROUP = "NotGroup"
     NOT_ZERO_STABLE = "NotZeroStable"
     SIMPLIFICATION_LOSS = "SimplificationLoss"
@@ -84,13 +86,12 @@ class QuotientCheck:
 
     On success `labels[x]` is the id s*k + t of the image (s, t) in
     A_{(h,k)} of each tested state x, so x accepts {m : (s + m*base^t) mod
-    p in R}: an array over all states for the whole automaton, a dict over
-    the members for an scc.
+    p in R}: a dict keyed by state id over the states tested.
     """
 
     params: PascalParams | None
     failure: QuotientFailure | None
-    labels: array | dict[int, int] | None = None
+    labels: dict[int, int] | None = None
 
     @property
     def accepted(self) -> bool:
@@ -192,9 +193,9 @@ def _scc_quotient(
     pred0: array | dict[int, int],
     labels: array | dict[int, int],
 ) -> PascalParams | QuotientFailure:
-    """Steps 0-3 on `states`, distinct states that every transition maps
-    among themselves (a closed scc, or all of them), rooted at `init`:
-    the parameters, or the failure of the first step that rejects.
+    """Steps 0-3 on `states`, distinct states of the automaton, rooted at
+    `init`: the parameters, or the failure of the first step that rejects
+    (NOT_CLOSED before NOT_GROUP if some transition leaves `states`).
 
     The 0-predecessor of each state tested goes into `pred0`, and on
     success its label into `labels`, both indexed by state id.  The caller
@@ -215,13 +216,16 @@ def _scc_quotient(
     """
     b, cols, m = dfa.base, dfa.columns, len(states)
     zcol, col1 = cols[0], cols[1]
-    # a digit permutes a closed set iff it maps it onto as many states,
-    # which for all n states is the cached is_group
-    if m == dfa.state_count:
-        permutes = dfa.is_group
+    # a digit passes iff it maps the set onto itself (a missing target is
+    # no state), which for all n states of a complete automaton is is_group
+    if m == dfa.state_count and dfa.is_complete:
+        passes = dfa.is_group
     else:
-        permutes = all(len(set(map(col.__getitem__, states))) == m for col in cols)
-    if not permutes:
+        inside = set(states)
+        passes = all(inside == set(map(col.__getitem__, states)) for col in cols)
+        if not passes and not all(inside.issuperset(map(col.__getitem__, states)) for col in cols):
+            return QuotientFailure.NOT_CLOSED
+    if not passes:
         return QuotientFailure.NOT_GROUP
     # every closed set of a zero-stable automaton is zero-stable
     if not dfa.is_zero_stable:
@@ -291,29 +295,26 @@ def _scc_quotient(
 
 def is_pascal_quotient(dfa: Dfa, members: Sequence[int] | None = None) -> QuotientCheck:
     """Steps 0-3 on the whole automaton, rooted at its initial state, or
-    on the closed scc `members`, rooted at its least member.
+    on the states `members`, rooted at the least one.
 
-    O(base * m) for m states tested, once dfa.columns is cached: a test of
-    `members` allocates nothing of the size of the automaton, so its
-    labels come as a dict over `members`.  Never raises on a negative
-    answer; raises PreconditionViolated on a partial automaton, or unless
-    `members` lists distinct states of the automaton, at least one, and no
-    transition leaves them.
+    O(base * m) for m states tested, once dfa.columns is cached: the test
+    allocates O(m), and its labels come as a dict by state id.  Never
+    raises on a negative answer, NOT_CLOSED included; raises
+    PreconditionViolated on a partial automaton without `members`, or
+    unless `members` lists distinct states of the automaton, at least one.
     """
     n = dfa.state_count
     if members is None:
         if not dfa.is_complete:
             raise PreconditionViolated("is_pascal_quotient requires a complete automaton")
-        labels = array("i", (-1,)) * n
-        found = _scc_quotient(dfa, range(n), dfa.initial, array("i", (-1,)) * n, labels)
+        members, init = range(n), dfa.initial
     else:
         inside = set(members)
         if not 0 < len(inside) == len(members) or min(inside) < 0 or max(inside) >= n:
             raise PreconditionViolated("members must be distinct states of the automaton")
-        if not all(inside.issuperset(map(col.__getitem__, members)) for col in dfa.columns):
-            raise PreconditionViolated("transitions leave the given states")
-        labels = {}
-        found = _scc_quotient(dfa, members, min(members), {}, labels)
+        init = min(inside)
+    labels: dict[int, int] = {}
+    found = _scc_quotient(dfa, members, init, {}, labels)
     if isinstance(found, QuotientFailure):
         return QuotientCheck(None, found)
     return QuotientCheck(found, None, labels)

@@ -245,7 +245,7 @@ def sub_automaton_check(dfa, members):
     check = is_pascal_quotient(Dfa.from_map(b, len(ordered), 0, targets, finals))
     if not check.accepted:
         return None, check.failure.value, {}
-    return check.params, None, dict(zip(ordered, check.labels))
+    return check.params, None, {ordered[x]: lab for x, lab in check.labels.items()}
 
 
 def test_scc_quotient_test_matches_a_sub_automaton():
@@ -272,16 +272,9 @@ def test_scc_quotient_test_matches_a_sub_automaton():
                 continue
             members = cond.scc_members[c]
             want = sub_automaton_check(d, members)
-            # closure is the caller's to check, as in the decision and in
-            # `updfa info`: a positive-digit scc is closed iff it has no
-            # successor scc
-            diag = "transitions leave the scc"
-            got = (None, diag, {})
-            if not successor_sccs(d, cond, c):
-                check = is_pascal_quotient(d, members)
-                diag = None if check.accepted else check.failure.value
-                got = (check.params, diag, dict(check.labels or {}))
-            assert got == want, (d, c)
+            check = is_pascal_quotient(d, members)
+            diag = None if check.accepted else check.failure.value
+            assert (check.params, diag, check.labels or {}) == want, (d, c)
             # and its verdict gave the same diagnostic, or the same facts
             if own and failure is not None and (failure.condition, failure.witness) == ("UP2", c):
                 assert failure.diagnostic == want[1], (d, c)
@@ -653,8 +646,8 @@ def test_extract_rejects_automata_failing_the_conditions():
 
 def test_decide_computes_each_fact_once(monkeypatch):
     calls = dict.fromkeys(
-        ["condensation", "is_pascal_quotient", "_scc_quotient", "accepts",
-         "isomorphic", "build_minimal_automaton"],
+        ["condensation", "successor_sccs", "is_pascal_quotient", "_scc_quotient",
+         "accepts", "isomorphic", "build_minimal_automaton"],
         0,
     )
 
@@ -683,22 +676,26 @@ def test_decide_computes_each_fact_once(monkeypatch):
     cond = condensation(minimize(d))
     positive = sum(t is SccType.TYPE_ONE for t in cond.scc_type)
     assert calls["_scc_quotient"] == positive == 3
+    # only UP3 reads successor sccs, once per 0-circuit scc; UP2's closure
+    # is part of the quotient test
+    circuits = sum(t is SccType.TYPE_TWO for t in cond.scc_type)
+    assert calls["successor_sccs"] == circuits == 3
     assert calls["is_pascal_quotient"] == 0
     assert calls["accepts"] == calls["isomorphic"] == 0
     assert calls["build_minimal_automaton"] == 0
     # a minimal group automaton is one scc: one quotient test decides it,
     # rejected or accepted, reached the same way as on the condensation
     # path, and no condensation runs
-    calls["_scc_quotient"] = calls["condensation"] = 0
+    calls["_scc_quotient"] = calls["condensation"] = calls["successor_sccs"] = 0
     res = decide(EVEN_ONES)
     assert res.failure == ConditionFailure("UP2", 0, "PeriodNotCoprime")
     assert calls["_scc_quotient"] == 1
-    assert calls["condensation"] == 0
+    assert calls["condensation"] == calls["successor_sccs"] == 0
     calls["_scc_quotient"] = 0
     res = decide(build_pascal(7, [6], 2))
     assert res.params == UpSet.from_parts(7, [6])
     assert calls["_scc_quotient"] == 1
-    assert calls["is_pascal_quotient"] == calls["condensation"] == 0
+    assert calls["is_pascal_quotient"] == calls["condensation"] == calls["successor_sccs"] == 0
     assert calls["accepts"] == calls["isomorphic"] == 0
     assert calls["build_minimal_automaton"] == 0
 
