@@ -549,24 +549,27 @@ def parse_dfa(text: str) -> Dfa:
     (states that never appear in it are unreachable padding), and the
     table, states x base entries, may not exceed max(2**20, that length).
 
-    When every line from the first ``trans`` line on is a plain ``trans``
-    line (ASCII, four tokens, no comment, only ``\\n`` breaks) and the
-    lines come in table order, as `write_dfa` emits them, that block is
-    converted in bulk, a chunk at a time.  Any other text, and any block
-    in which a check fails, is read line by line, so every FormatError
-    comes from the line reader, with its line number.
+    The text is read in chunks cut at line ends: the header up to the
+    first ``trans`` line, then about `_CHUNK` characters at a time.  A
+    chunk of plain ``trans`` lines in table order (ASCII, four tokens, no
+    comment, ``\n`` or ``\r\n`` breaks), as `write_dfa` emits them, is
+    converted in bulk; any other chunk is read line by line, so every
+    FormatError comes from the line reader, with its line number.
     """
-    start = text.find("\ntrans ") + 1
-    if start:
-        head = _read_lines(text[:start], len(text))
-        if head.initial is not None and _read_trans_block(text, start, head):
-            return head.dfa()
-    return _read_lines(text, len(text)).dfa()
+    got, lineno = _Parsed(), 0
+    pos, end = 0, text.find("\ntrans ") + 1 or len(text)
+    while pos < len(text):
+        chunk = text[pos:end]
+        lineno = _read_trans_block(chunk, got, lineno) or _read_lines(
+            chunk, len(text), got, lineno
+        )
+        pos, end = end, text.find("\n", end + _CHUNK) + 1 or len(text)
+    return got.dfa()
 
 
 @dataclass
 class _Parsed:
-    """The directives the line reader has met so far."""
+    """The directives read so far, by either reader."""
 
     base: int | None = None
     states: int | None = None
@@ -609,10 +612,10 @@ def _format_arity(kw: str, want: int, lineno: int):
     raise FormatError(f"directive {kw!r} takes exactly {want} argument(s)", lineno)
 
 
-def _read_lines(text: str, size: int) -> _Parsed:
-    """Read `text` line by line; `size` is the length of the whole input."""
-    got = _Parsed()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _read_lines(text: str, size: int, got: _Parsed, lineno: int) -> int:
+    """Read `text` line by line into `got`, numbering from lineno + 1, and
+    return the last line's number; `size` is the length of the whole input."""
+    for lineno, raw in enumerate(text.splitlines(), start=lineno + 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -670,59 +673,54 @@ def _read_lines(text: str, size: int) -> _Parsed:
             got.table[i] = q2
         else:
             raise FormatError(f"unknown directive {kw!r}", lineno)
-    return got
+    return lineno
 
 
 # characters per bulk chunk; its tokens take about 12 bytes per character
 _CHUNK = 1 << 18
 
 
-def _read_trans_block(text: str, start: int, got: _Parsed) -> bool:
-    """Store the trans lines of text[start:] into `got.table` in bulk.
+def _read_trans_block(chunk: str, got: _Parsed, lineno: int) -> int:
+    """Store the trans lines of `chunk` into `got.table` in bulk.
 
-    Returns False, with the table partly written, as soon as the block is
-    not made of plain ``trans q a q'`` lines in table order (the order
-    `write_dfa` emits) or a line in it is wrong; the caller then reads the
-    whole text line by line.
+    Returns the number of the chunk's last line, or 0, with nothing
+    written, unless the chunk is made of plain ``trans q a q'`` lines in
+    table order (the order `write_dfa` emits) whose entries are all valid
+    and still missing; the caller then reads the chunk line by line.
     """
-    # each \n ends a line and each line starts with "trans "; no other line
-    # break, and no minus sign, so every integer is >= 0
-    if not text.isascii() or any(text.find(c, start) >= 0 for c in "-\r\v\f\x1c\x1d\x1e"):
-        return False
-    lines_left = text.count("\ntrans ", start - 1)
-    if lines_left != text.count("\n", start - 1) - text.endswith("\n"):
-        return False
     b, n, table = got.base, got.states, got.table
-    pos = start
-    while pos < len(text):
-        end = text.find("\n", pos + _CHUNK) + 1 or len(text)
-        toks = text[pos:end].split()
-        pos = end
-        # "trans" is no integer and starts every line, so once the other
-        # three columns convert, a chunk of 4k tokens has at most k lines;
-        # the block having as many lines as the chunks have k's then makes
-        # every line four tokens long, with no room for a comment
-        lines, rest = divmod(len(toks), 4)
-        lines_left -= lines
-        if rest:
-            return False
-        try:
-            first = int(toks[1]) * b + int(toks[2])
-            # array() fills faster from a list than from an iterator
-            targets = array("i", list(map(int, toks[3::4])))
-        except (ValueError, OverflowError):
-            return False
-        if first + lines > len(table) or max(targets) >= n:
-            return False
-        # in table order the (q, a) columns hold the numerals of the indices
-        # first, first + 1, ...: compare them as strings, then store the
-        # targets as one slice, into entries still missing
-        if (toks[1::4], toks[2::4]) != _numerals(first, lines, b):
-            return False
-        if table[first : first + lines] != array("i", (MISSING,)) * lines:
-            return False
-        table[first : first + lines] = targets
-    return lines_left == 0
+    # each \n or \r\n ends a line and each line starts with "trans "; no
+    # other line break, and no minus sign, so every integer is >= 0
+    if table is None or not chunk.isascii() or any(c in chunk for c in "-\v\f\x1c\x1d\x1e"):
+        return 0
+    if "\r" in chunk and chunk.count("\r") != chunk.count("\r\n"):
+        return 0
+    lines = chunk.count("\n") + (not chunk.endswith("\n"))
+    if lines != chunk.startswith("trans ") + chunk.count("\ntrans "):
+        return 0
+    # "trans" is no integer and starts every line, so once the other three
+    # columns convert, 4k tokens on k lines make every line four tokens
+    # long, with no room for a comment
+    toks = chunk.split()
+    if len(toks) != 4 * lines:
+        return 0
+    try:
+        first = int(toks[1]) * b + int(toks[2])
+        # array() fills faster from a list than from an iterator
+        targets = array("i", list(map(int, toks[3::4])))
+    except (ValueError, OverflowError):
+        return 0
+    if first + lines > len(table) or max(targets) >= n:
+        return 0
+    # in table order the (q, a) columns hold the numerals of the indices
+    # first, first + 1, ...: compare them as strings, then store the
+    # targets as one slice, into entries still missing
+    if (toks[1::4], toks[2::4]) != _numerals(first, lines, b):
+        return 0
+    if table[first : first + lines] != array("i", (MISSING,)) * lines:
+        return 0
+    table[first : first + lines] = targets
+    return lineno + lines
 
 
 def _numerals(first: int, count: int, b: int) -> tuple[list[str], list[str]]:

@@ -488,7 +488,9 @@ def test_write_pads_sparse_automata_to_what_the_parser_needs():
 # the line-by-line reader is the reference: on any text, parse_dfa returns
 # what it returns, or raises the FormatError it raises, at the same line
 def _line_parse(text):
-    return automaton._read_lines(text, len(text)).dfa()
+    got = automaton._Parsed()
+    automaton._read_lines(text, len(text), got, 0)
+    return got.dfa()
 
 
 def _outcome(parse, text):
@@ -530,6 +532,12 @@ def _mutate(text, kind, rng, d):
         lines.insert(rng.randrange(len(lines) + 1), "# note")
     elif kind == "crlf":
         return "\r\n".join(lines) + "\r\n"
+    elif lines and kind == "crlf line":
+        lines[rng.randrange(len(lines))] += "\r"
+    elif rows and kind == "other keyword":
+        # the line keeps the three integers of a trans line
+        i = rng.choice(rows)
+        lines[i] = rng.choice(["#", "final", "initial", "base", "Trans"]) + lines[i][5:]
     elif lines and kind == "tab":
         i = rng.randrange(len(lines))
         lines[i] = lines[i].replace(" ", "\t", 1)
@@ -584,6 +592,8 @@ MUTATIONS = (
     "comment",
     "comment line",
     "crlf",
+    "crlf line",
+    "other keyword",
     "tab",
     "no final newline",
     "leading zeros",

@@ -14,6 +14,7 @@ import pytest
 
 import updfa.cli
 from updfa import (
+    automaton,
     UpSet,
     build_minimal_automaton,
     build_pascal,
@@ -523,10 +524,27 @@ def test_decide_command_scaling(tmp_path):
     assert ratio <= 20, f"decade ratio {ratio:.2f} exceeds 20 ({small}, {large} ns)"
 
 
-def test_parse_peak_memory_follows_the_text():
-    # the trans block is split a chunk at a time, so the parser's peak is
-    # a fraction of the text, not the millions of strings of one split
-    text = write_dfa(bench_automaton(100003, 2))
+def _mid_block(text, line):
+    # `line` inserted after the first line end past the middle of the text
+    i = text.index("\n", len(text) // 2) + 1
+    return text[:i] + line + text[i:]
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        lambda t: t,
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t + "# end\n",
+        lambda t: _mid_block(t, "# note\n"),
+    ],
+    ids=["plain", "crlf", "trailing comment", "comment in the block"],
+)
+def test_parse_peak_memory_follows_the_text(variant):
+    # the trans block is split a chunk at a time, and a chunk that is not
+    # plain is read line by line on its own, so the parser's peak is a
+    # fraction of the text, not the millions of strings of one split
+    text = variant(write_dfa(bench_automaton(100003, 2)))
     tracemalloc.start()
     try:
         dfa = parse_dfa(text)
@@ -535,6 +553,26 @@ def test_parse_peak_memory_follows_the_text():
         tracemalloc.stop()
     assert dfa.state_count == 100003
     assert peak < 3 * len(text), f"peak {peak} bytes on a text of {len(text)} characters"
+
+
+def test_parse_reads_only_the_comment_chunk_line_by_line(monkeypatch):
+    # with 40-character chunks, a comment line in the block sends the
+    # header and the one chunk that holds it to the line reader, no more
+    dfa = bench_automaton(101, 2)
+    text = _mid_block(write_dfa(dfa), "# note\n")
+    seen = []
+    read_lines = automaton._read_lines
+
+    def spy(chunk, *args):
+        seen.append(chunk)
+        return read_lines(chunk, *args)
+
+    monkeypatch.setattr(automaton, "_CHUNK", 40)
+    monkeypatch.setattr(automaton, "_read_lines", spy)
+    assert parse_dfa(text) == dfa
+    assert len(seen) == 2, [len(chunk) for chunk in seen]
+    assert seen[0] == text[: text.index("\ntrans ") + 1]
+    assert "# note" in seen[1] and len(seen[1]) < 2 * 40, seen[1]
 
 
 # ---------------------------------------------------------------- entry point

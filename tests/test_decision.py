@@ -23,7 +23,6 @@ from updfa import (
     QuotientFailure,
     SccType,
     UpSet,
-    build_embedding,
     build_minimal_automaton,
     build_pascal,
     check_conditions,
@@ -37,6 +36,7 @@ from updfa import (
     successor_sccs,
 )
 from updfa.cli import bench_automaton
+from updfa.decision import build_embedding
 from updfa.errors import PreconditionViolated
 
 from conftest import subprocess_env
